@@ -1,6 +1,7 @@
 // Command wfebench regenerates the paper's evaluation: every figure's
-// throughput and unreclaimed-object series (Figures 5–11) plus the
-// ablations in DESIGN.md.
+// throughput and unreclaimed-object series (Figures 5–11), measured on the
+// public structures with one pinned guard per worker, plus the ablations
+// below.
 //
 // Quick sweep of one figure:
 //
@@ -12,20 +13,19 @@
 //
 // Ablations:
 //
-//	wfebench -ablation attempts|slowpath|erafreq|stall
+//	wfebench -ablation attempts|slowpath|erafreq|stall|wfeibr
 //
 // Guard-runtime overhead (the guardless API's lease cost per acquisition
 // path, with the guard-pool telemetry that explains it):
 //
 //	wfebench -ablation guards
 //
-// Public-API workloads (the paper's four remaining evaluation structures —
-// KP queue, CRTurn queue, hash map, BST — driven guardlessly through the
-// generic Domain API across every scheme):
+// Guardless workloads (the Figure 5a/5c/7/8 structures with every operation
+// leasing its own guard, across all seven schemes):
 //
 //	wfebench -ablation workloads
 //
-// Sorted-snapshot vs linear cleanup (the PR 4 fast-path overhaul):
+// Sorted-snapshot vs linear cleanup:
 //
 //	wfebench -ablation scan
 //
@@ -416,11 +416,10 @@ func runGuardOverhead(opt bench.Options, csv bool) {
 	fmt.Println("acquire-per-op bypasses the lease cache — the cost caching removes.")
 }
 
-// runWorkloads renders the public-API workloads experiment: the paper's
-// four remaining evaluation structures (KP queue, CRTurn queue, hash map,
-// BST) driven guardlessly through Domain[T] across every scheme —
-// Figures 5 and 8 end to end on the public API, with the guard-runtime
-// telemetry that the internal-harness figures cannot show.
+// runWorkloads renders the guardless workloads experiment: the Figure
+// 5a/5c/7/8 structures with every operation leasing its own guard, across
+// every scheme, with the guard-runtime telemetry that explains the lease
+// cost.
 func runWorkloads(opt bench.Options, csv bool) {
 	results := bench.Workloads(opt)
 	if csv {
@@ -428,16 +427,21 @@ func runWorkloads(opt bench.Options, csv bool) {
 		for _, r := range results {
 			t := r.Telemetry
 			fmt.Printf("%s,%s,%s,%d,%.4f,%.1f,%v,%d,%d,%d\n",
-				r.Figure, r.DS, r.Scheme, r.Goroutines, r.Mops, r.Unreclaimed,
+				r.Figure, r.DS, r.Scheme, r.Threads, r.Mops, r.Unreclaimed,
 				r.Exhausted, t.GuardAcquires, t.GuardCacheHits, t.GuardParks)
 		}
 		return
 	}
-	fmt.Printf("\n=== Public-API workloads (guardless; write-heavy mix) ===\n")
+	fmt.Printf("\n=== Guardless workloads (write-heavy mix) ===\n")
 	fmt.Printf("%-12s%-10s%-10s%8s%12s%14s\n",
 		"figure", "ds", "scheme", "gor", "Mops/s", "unreclaimed")
 	for _, r := range results {
-		fmt.Println(r.WorkloadString())
+		mops := fmt.Sprintf("%.3f", r.Mops)
+		if r.Exhausted {
+			mops += "*"
+		}
+		fmt.Printf("%-12s%-10s%-10s%8d%12s%14.1f\n", "fig "+r.Figure, r.DS, r.Scheme,
+			r.Threads, mops, r.Unreclaimed)
 	}
 	fmt.Println("\n* = arena exhausted mid-run (expected for Leak on long runs).")
 	fmt.Println("The unreclaimed column excludes nothing: the Leak rows show the")

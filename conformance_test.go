@@ -189,6 +189,10 @@ var conformStructures = []struct {
 	{"WFQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewWFQueue[uint64](d)} }},
 	{"TurnQueue", func(d *wfe.Domain[uint64]) conformAPI { return fifoAPI{wfe.NewTurnQueue[uint64](d)} }},
 	{"HashMap", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 64)} }},
+	// One bucket is a Harris–Michael sorted list (the Figure 6/9
+	// structure): every key shares one chain, so unlinking crosses
+	// multi-hop windows the 64-bucket row's ~1-node chains never build.
+	{"List", func(d *wfe.Domain[uint64]) conformAPI { return hashMapAPI{wfe.NewHashMap[uint64](d, 1)} }},
 	{"Tree", func(d *wfe.Domain[uint64]) conformAPI { return treeAPI{wfe.NewTree[uint64](d)} }},
 }
 

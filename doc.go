@@ -45,8 +45,7 @@
 //	domain.go           Domain[T], Guard, Ref[T], Atomic[T], SchemeKind
 //	stack.go            public Treiber stack
 //	queue.go            public Michael–Scott queue
-//	wfqueue.go          public Kogan–Petrank wait-free queue
-//	turnqueue.go        public CRTurn wait-free queue
+//	wfqueue.go          public Kogan–Petrank and CRTurn wait-free queues
 //	hashmap.go          public lock-free hash map (HashMap)
 //	map.go              Map, the hash map's original alias
 //	tree.go             public Natarajan–Mittal BST
@@ -60,19 +59,23 @@
 //	internal/pack       64-bit packing emulating the paper's wide CAS
 //	internal/reclaim    the shared SMR interface and configuration
 //	internal/guardpool  lock-free tid freelist + parking (the guard runtime)
-//	internal/ds/...     Treiber stack, Harris–Michael list, Michael hash map,
-//	                    Natarajan–Mittal BST, Kogan–Petrank and CRTurn queues
+//	internal/ds/...     Kogan–Petrank and CRTurn word queues (inside WFQueue
+//	                    and TurnQueue), the shared queue and map conformance
+//	                    suites, and test-only packages running them on the
+//	                    public structures
 //	internal/bench      workload generator and per-figure experiment runner
 //	cmd/wfebench        regenerates Figures 5–11 and the ablations
 //	cmd/wfestress       correctness stress tool (forced slow path, stalls)
 //	cmd/wfelat          per-operation latency comparison of the queues
 //	examples/...        runnable walkthroughs of the public API
 //
-// The internal/ds structures speak the internal reclaim.Scheme interface
-// directly and remain the benchmark substrate; every structure of the
-// paper's evaluation now also has a public Domain-API counterpart —
-// conformance_test.go runs all of them through every scheme × acquisition
-// path. The benchmarks in bench_test.go measure one configuration per
-// paper figure; cmd/wfebench performs the full thread sweeps, including
-// the public-API workloads experiment (-ablation workloads).
+// There is one implementation per structure: the benchmark harness, the
+// conformance and fuzz suites and users all run the public types above.
+// Only the two wait-free queues keep an internal core (internal/ds), word
+// queues driven by the guard's tid that WFQueue and TurnQueue wrap with a
+// value box. conformance_test.go runs every structure through every
+// scheme × acquisition path. The benchmarks in bench_test.go measure one
+// configuration per paper figure on pinned guards; cmd/wfebench performs
+// the full thread sweeps, including the guardless workloads experiment
+// (-ablation workloads).
 package wfe

@@ -1,8 +1,7 @@
 // The paper's wait-free workloads on the public API: the Kogan–Petrank
 // queue (WFQueue), the CRTurn queue (TurnQueue), Michael's hash map
-// (HashMap) and the Natarajan–Mittal BST (Tree) — the four structures of
-// the paper's evaluation (Figures 5, 8 and 11) that PR 3 promotes out of
-// the internal benchmark substrate — all sharing one WFE Domain.
+// (HashMap) and the Natarajan–Mittal BST (Tree) — four structures of the
+// paper's evaluation (Figures 5, 8 and 11) — all sharing one WFE Domain.
 //
 // The headline property: combined with WFE, the two queues are wait-free
 // end to end, reclamation included — every operation, every protected

@@ -70,36 +70,12 @@ func bestBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Bat
 }
 
 func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) BatchResult {
-	capacity := opt.Capacity
-	if capacity == 0 {
-		if kind == wfe.Leak {
-			capacity = 1 << 22
-		} else {
-			capacity = 8*opt.Prefill + goroutines*4096 + 1<<18
-		}
-	}
-	d, err := wfe.NewDomain[uint64](wfe.Options{
-		Scheme:      kind,
-		Capacity:    capacity,
-		MaxGuards:   goroutines,
-		EraFreq:     opt.EraFreq,
-		CleanupFreq: opt.CleanupFreq,
-		MaxAttempts: opt.MaxAttempts,
-	})
-	if err != nil {
-		panic(err)
-	}
+	d, _ := newDomain(kind.String(), goroutines, opt)
 	if opt.Observe != nil {
 		opt.Observe(fmt.Sprintf("batch/%s/b%d/t%d", kind, width, goroutines), d.Telemetry)
 	}
 	m := wfe.NewHashMap[uint64](d, int(opt.KeyRange))
-
-	rng := rand.New(rand.NewSource(12345))
-	keys := prefillKeys(opt.Prefill, opt.KeyRange, rng)
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	for _, k := range keys {
-		m.Insert(k, k)
-	}
+	prefill("hashmap", searchKV{m}, d, opt)
 
 	var (
 		stop      atomic.Bool

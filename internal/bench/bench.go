@@ -1,32 +1,24 @@
 // Package bench is the paper's evaluation harness (§5): it drives the
-// abstract key-value interface over every data structure × reclamation
-// scheme combination, sweeping thread counts, and reports the two series
-// every figure plots — throughput (Mops/s) and the number of unreclaimed
-// objects — plus the ablations DESIGN.md calls out.
+// public structures over every reclamation scheme, sweeping thread
+// counts, and reports the two series every figure plots — throughput
+// (Mops/s) and the number of unreclaimed objects — plus the ablations
+// cmd/wfebench exposes.
 package bench
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wfe"
-	"wfe/internal/core"
-	"wfe/internal/ds"
-	"wfe/internal/ds/bst"
-	"wfe/internal/ds/crturn"
-	"wfe/internal/ds/hashmap"
-	"wfe/internal/ds/kpqueue"
-	"wfe/internal/ds/list"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
 // Workload is an operation mix in percent (summing to 100).
@@ -45,7 +37,7 @@ var (
 type Experiment struct {
 	ID       string // "5a", "6", ...
 	Title    string
-	DS       string // builder name
+	DS       string // structure name (see Setup)
 	Workload Workload
 	Schemes  []string
 }
@@ -56,14 +48,14 @@ var allSchemes = []string{"WFE", "HE", "HP", "EBR", "2GEIBR", "Leak"}
 // two panels (throughput / unreclaimed) are one experiment here: Run
 // reports both metrics.
 var Experiments = []Experiment{
-	{ID: "5a", Title: "KP queue, 50% insert / 50% delete", DS: "kpqueue", Workload: WriteHeavy, Schemes: allSchemes},
-	{ID: "5c", Title: "CRTurn queue, 50% insert / 50% delete", DS: "crturn", Workload: WriteHeavy, Schemes: allSchemes},
+	{ID: "5a", Title: "KP queue, 50% insert / 50% delete", DS: "wfqueue", Workload: WriteHeavy, Schemes: allSchemes},
+	{ID: "5c", Title: "CRTurn queue, 50% insert / 50% delete", DS: "turnqueue", Workload: WriteHeavy, Schemes: allSchemes},
 	{ID: "6", Title: "Linked list, 50% insert / 50% delete", DS: "list", Workload: WriteHeavy, Schemes: allSchemes},
 	{ID: "7", Title: "Hash map, 50% insert / 50% delete", DS: "hashmap", Workload: WriteHeavy, Schemes: allSchemes},
-	{ID: "8", Title: "Natarajan BST, 50% insert / 50% delete", DS: "bst", Workload: WriteHeavy, Schemes: allSchemes},
+	{ID: "8", Title: "Natarajan BST, 50% insert / 50% delete", DS: "tree", Workload: WriteHeavy, Schemes: allSchemes},
 	{ID: "9", Title: "Linked list, 90% get / 10% put", DS: "list", Workload: ReadMostly, Schemes: allSchemes},
 	{ID: "10", Title: "Hash map, 90% get / 10% put", DS: "hashmap", Workload: ReadMostly, Schemes: allSchemes},
-	{ID: "11", Title: "Natarajan BST, 90% get / 10% put", DS: "bst", Workload: ReadMostly, Schemes: allSchemes},
+	{ID: "11", Title: "Natarajan BST, 90% get / 10% put", DS: "tree", Workload: ReadMostly, Schemes: allSchemes},
 }
 
 // FindExperiment resolves a figure id ("5a" and "5b" map to the same
@@ -83,6 +75,15 @@ func FindExperiment(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown figure %q", id)
 }
 
+// ParseScheme maps a scheme legend name to its kind, accepting the
+// forced-slow-path variants ("WFE-slow", "WFE-IBR-slow") the paper's §5
+// stress validation runs: those report forceSlow for Options.ForceSlowPath.
+func ParseScheme(name string) (kind wfe.SchemeKind, forceSlow bool, err error) {
+	base, forceSlow := strings.CutSuffix(name, "-slow")
+	kind, err = wfe.ParseScheme(base)
+	return kind, forceSlow, err
+}
+
 // Options are the sweep parameters, defaulting to the paper's values with a
 // shorter duration (the -paper flag of cmd/wfebench restores 10s × 5).
 type Options struct {
@@ -96,7 +97,7 @@ type Options struct {
 	MaxAttempts int           // WFE fast-path attempts (paper: 16)
 	Capacity    int           // arena slots; 0 sizes automatically
 	// StallThreads makes the first N workers stall inside an operation
-	// (announced/holding one protection) for the whole run — the
+	// (a pinned guard holding one protection) for the whole run — the
 	// preempted-reader scenario of ablation A4.
 	StallThreads int
 	// Pin wires each worker to an OS thread (runtime.LockOSThread),
@@ -156,13 +157,16 @@ type Result struct {
 	Ops            uint64  `json:"ops"`              // total operations completed
 	Unreclaimed    float64 `json:"unreclaimed_mean"` // mean sampled retired-not-freed blocks
 	UnreclaimedMax int     `json:"unreclaimed_max"`  // highwater of the same samples
-	SlowPaths      uint64  `json:"slow_paths"`       // WFE only: slow-path entries during measurement
+	SlowPaths      uint64  `json:"slow_paths"`       // WFE/WFE-IBR only: slow-path entries during measurement
 	MaxSteps       uint64  `json:"max_steps"`        // worst GetProtected step count (every protecting scheme)
 	P99Steps       uint64  `json:"p99_steps"`        // p99 GetProtected step count (every protecting scheme)
 	ScanScans      uint64  `json:"scan_scans"`       // cleanup scans run (all schemes, via the shared retire runtime)
 	ScanBlocks     uint64  `json:"scan_blocks"`      // retired blocks those scans examined
 	ScanNanos      uint64  `json:"scan_nanos"`       // total nanoseconds spent in cleanup scans
 	Exhausted      bool    `json:"exhausted"`        // arena filled up mid-run (Leak with long durations)
+	// Telemetry is the Domain's census at the end of the run, for the
+	// guard-runtime counters the text and CSV reports print.
+	Telemetry wfe.Telemetry `json:"-"`
 }
 
 // ScanNsPerBlock is the mean cleanup cost per examined retired block, the
@@ -174,35 +178,38 @@ func (r Result) ScanNsPerBlock() float64 {
 	return float64(r.ScanNanos) / float64(r.ScanBlocks)
 }
 
-// buildKV instantiates a data structure over a scheme sized for threads.
-func buildKV(name string, smr reclaim.Scheme, threads int, keyRange uint64) ds.KV {
-	switch name {
-	case "list":
-		return list.New(smr).KV()
-	case "hashmap":
-		return hashmap.New(smr, int(keyRange)).KV()
-	case "bst":
-		return bst.New(smr).KV()
-	case "kpqueue":
-		return kpqueue.New(smr, threads).KV()
-	case "crturn":
-		return crturn.New(smr, threads).KV()
-	}
-	panic("bench: unknown data structure " + name)
-}
-
 // IsQueue reports whether the structure only supports insert/delete.
-func IsQueue(name string) bool { return name == "kpqueue" || name == "crturn" }
+func IsQueue(name string) bool { return name == "wfqueue" || name == "turnqueue" }
 
-// Run sweeps one experiment and returns a result per scheme × thread count.
-func Run(exp Experiment, opt Options) []Result {
+// MaxTurnGuards is the CRTurn claim word's tid capacity: TurnQueue domains
+// must keep MaxGuards below 255, so sweeps clamp their goroutine counts.
+const MaxTurnGuards = 254
+
+// Run sweeps one experiment and returns a result per scheme × thread
+// count. Each worker pins one guard for the whole run and drives the
+// structure through its Guarded methods, as the paper's threads keep one
+// fixed tid.
+func Run(exp Experiment, opt Options) []Result { return run(exp, opt, false) }
+
+// run is the one sweep loop. guardless drives every operation through
+// the structures' plain methods instead, so each one leases a guard.
+func run(exp Experiment, opt Options, guardless bool) []Result {
 	opt = opt.Defaults()
 	var results []Result
+	clamped := false
 	for _, threads := range opt.Threads {
+		if exp.DS == "turnqueue" && threads > MaxTurnGuards {
+			// The claim word holds at most 254 tids: measure the clamped
+			// point once, not once per excessive thread count.
+			if clamped {
+				continue
+			}
+			threads, clamped = MaxTurnGuards, true
+		}
 		for _, scheme := range exp.Schemes {
 			best := Result{}
 			for rep := 0; rep < opt.Repeat; rep++ {
-				r := runOne(exp, scheme, threads, opt)
+				r := runPoint(exp, scheme, threads, guardless, opt)
 				if r.Mops > best.Mops || rep == 0 {
 					best = r
 				}
@@ -232,105 +239,71 @@ func prefillKeys(n int, keyRange uint64, rng *rand.Rand) []uint64 {
 	return keys
 }
 
-func arenaCapacity(exp Experiment, scheme string, opt Options, threads int) int {
-	if opt.Capacity != 0 {
+// arenaCapacity sizes a run's arena: the live set (doubled, since the
+// wait-free queues box every value in a second block) plus the retired
+// backlog's headroom. The flat headroom term absorbs the backlog of the
+// epoch- and interval-based schemes, which can spike past 100K blocks when
+// a worker is descheduled mid-epoch on a loaded machine — undersizing here
+// shows up as flaky Exhausted results, not as a measurement. The leak
+// baseline burns one slot per insert for the whole run; it gets the
+// largest arena that still fits comfortably in memory, and Exhausted flags
+// its truncated runs.
+func arenaCapacity(kind wfe.SchemeKind, opt Options, threads int) int {
+	switch {
+	case opt.Capacity != 0:
 		return opt.Capacity
-	}
-	// Live set + retired backlog headroom. The leak baseline burns one slot
-	// per insert for the whole run; give it the largest arena that still
-	// fits comfortably in memory and let Exhausted flag truncated runs.
-	if scheme == "Leak" {
+	case kind == wfe.Leak:
 		return 1 << 22
 	}
-	// The flat headroom term absorbs the retired-but-not-yet-freed backlog
-	// of the epoch- and interval-based schemes, which can spike past 100K
-	// blocks when a worker is descheduled mid-epoch on a loaded machine —
-	// undersizing here shows up as flaky Exhausted results, not as a
-	// measurement.
-	capacity := 4*opt.Prefill + threads*4096 + 1<<18
-	return capacity
+	return 8*opt.Prefill + threads*4096 + 1<<18
 }
 
-// InternalTelemetry adapts an internal-harness (scheme, arena) pair to
-// the public wfe.Telemetry census so the export tier can serve harness
-// runs the same way it serves Domains. The guard-runtime counters stay
-// zero: the internal harness drives schemes by raw tid, with no guard
-// pool above them.
-func InternalTelemetry(name string, smr reclaim.Scheme, a *mem.Arena) wfe.Telemetry {
-	st := a.Stats()
-	probe := smr.Retirer().Probe()
-	t := wfe.Telemetry{
-		Scheme:      name,
-		MaxSteps:    probe.MaxSteps,
-		P99Steps:    probe.P99Steps,
-		Unreclaimed: probe.Unreclaimed,
-		Allocs:      st.Allocs,
-		Frees:       st.Frees,
-		InUse:       st.InUse,
-		Capacity:    a.Capacity(),
-
-		ScanScans:  probe.Scans.Scans,
-		ScanBlocks: probe.Scans.Blocks,
-		ScanNanos:  probe.Scans.Nanos,
-
-		ArenaSegPushes:     st.SegPushes,
-		ArenaSegPops:       st.SegPops,
-		ArenaBumpHighwater: st.Bumped,
+// newDomain builds the Domain one measured point runs on: the scheme
+// (forced-slow variants included), threads guards, and the sweep's tuning.
+func newDomain(scheme string, threads int, opt Options) (*wfe.Domain[uint64], wfe.SchemeKind) {
+	kind, forceSlow, err := ParseScheme(scheme)
+	if err != nil {
+		panic(err)
 	}
-	if e, ok := smr.(interface{ Era() uint64 }); ok {
-		t.Era = e.Era()
+	sortCutoff := 0 // calibrated per host
+	if opt.LinearScan {
+		// Every gathered snapshot sits below the cutoff, so each scan
+		// takes the linear sweep.
+		sortCutoff = math.MaxInt
 	}
-	if s, ok := smr.(interface{ SlowPaths() uint64 }); ok {
-		t.SlowPaths = s.SlowPaths()
-	}
-	return t
-}
-
-func runOne(exp Experiment, schemeName string, threads int, opt Options) Result {
-	a := mem.New(mem.Config{
-		Capacity:   arenaCapacity(exp, schemeName, opt, threads),
-		MaxThreads: threads,
-		Debug:      false,
-	})
-	smr, err := schemes.New(schemeName, a, reclaim.Config{
-		MaxThreads:  threads,
-		EraFreq:     opt.EraFreq,
-		CleanupFreq: opt.CleanupFreq,
-		MaxAttempts: opt.MaxAttempts,
-		LinearScan:  opt.LinearScan,
+	d, err := wfe.NewDomain[uint64](wfe.Options{
+		Scheme:        kind,
+		Capacity:      arenaCapacity(kind, opt, threads),
+		MaxGuards:     threads,
+		EraFreq:       opt.EraFreq,
+		CleanupFreq:   opt.CleanupFreq,
+		MaxAttempts:   opt.MaxAttempts,
+		SortCutoff:    sortCutoff,
+		ForceSlowPath: forceSlow,
 	})
 	if err != nil {
 		panic(err)
 	}
-	if opt.Observe != nil {
-		opt.Observe(fmt.Sprintf("%s/%s/t%d", exp.ID, schemeName, threads),
-			func() wfe.Telemetry { return InternalTelemetry(schemeName, smr, a) })
-	}
-	kv := buildKV(exp.DS, smr, threads, opt.KeyRange)
+	return d, kind
+}
 
-	// Prefill: queues get 50K enqueues; maps get 50K distinct keys.
-	rng := rand.New(rand.NewSource(12345))
-	if seeder, ok := kv.(ds.Seeder); ok && !IsQueue(exp.DS) {
-		seeder.Seed(0, prefillKeys(opt.Prefill, opt.KeyRange, rng))
-	} else if s2, ok2 := kv.(ds.Seeder); ok2 {
-		keys := make([]uint64, opt.Prefill)
-		for i := range keys {
-			keys[i] = uint64(rng.Int63n(int64(opt.KeyRange)))
-		}
-		s2.Seed(0, keys)
+func runPoint(exp Experiment, scheme string, threads int, guardless bool, opt Options) Result {
+	d, kind := newDomain(scheme, threads, opt)
+	if opt.Observe != nil {
+		opt.Observe(fmt.Sprintf("%s/%s/t%d", exp.ID, scheme, threads), d.Telemetry)
 	}
+	s := Setup(exp.DS, d, opt)
 
 	var (
 		stop      atomic.Bool
 		exhausted atomic.Bool
-		opsByTid  = make([]uint64, threads)
+		opsByW    = make([]uint64, threads)
 	)
-	baseSlow := slowPaths(smr)
 	// Prefill runs cleanup scans against a nearly empty reservation set;
 	// baseline them away so the scan telemetry describes the measured
 	// window only (the step quantiles stay whole-run: a max cannot be
 	// baselined and prefill's uncontended reads all take one step).
-	baseScan := smr.Retirer().Stats()
+	base := d.Telemetry()
 
 	// Unreclaimed sampler (the paper's second panel).
 	var samples []int
@@ -341,77 +314,92 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options) Result 
 		defer tick.Stop()
 		for !stop.Load() {
 			<-tick.C
-			samples = append(samples, smr.Unreclaimed())
+			samples = append(samples, d.Unreclaimed())
 		}
 	}()
 
-	// A stalled reader pins one protection for the whole run (ablation A4).
-	var stallRoot atomic.Uint64
+	// A stalled reader pins one protection of this block for the whole run
+	// (ablation A4).
+	var stallRoot wfe.Atomic[uint64]
 	if opt.StallThreads > 0 {
-		h := smr.Alloc(0)
-		stallRoot.Store(h)
+		g := d.Pin()
+		stallRoot.Store(g.Alloc(0))
+		d.Unpin(g)
 	}
 
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
-		go func(tid int) {
+		go func(w int) {
 			defer wg.Done()
 			if opt.Pin {
 				runtime.LockOSThread()
 				defer runtime.UnlockOSThread()
 			}
+			ops := uint64(0)
+			// Record the count even on the panic path below, so Exhausted
+			// rows are not undercounted by the dying worker's share.
+			defer func() { opsByW[w] = ops }()
 			defer func() {
 				if r := recover(); r != nil {
-					// Arena exhaustion (leak baseline on long runs).
+					// Only the leak baseline filling its fixed arena is a
+					// benign early end; any other panic is a real bug and
+					// must crash the sweep, not be masked as an Exhausted
+					// capacity artifact.
+					if !LeakExhausted(r, kind) {
+						panic(r)
+					}
 					exhausted.Store(true)
 					stop.Store(true)
 				}
 			}()
+			stalled := w < opt.StallThreads
 			// pprof labels tag every profile sample a -metrics scrape
 			// collects with which sweep point it belongs to.
 			phase := "measure"
-			if tid < opt.StallThreads {
+			if stalled {
 				phase = "stalled"
 			}
 			pprof.Do(context.Background(), pprof.Labels(
-				"scheme", schemeName, "structure", exp.DS, "phase", phase,
+				"scheme", scheme, "structure", exp.DS, "phase", phase,
 			), func(context.Context) {
-				if tid < opt.StallThreads {
-					smr.Begin(tid)
-					smr.GetProtected(tid, &stallRoot, 0, 0)
+				var g *wfe.Guard[uint64]
+				if !guardless || stalled {
+					g = d.Pin()
+					defer d.Unpin(g)
+				}
+				if stalled {
+					g.Begin()
+					g.Protect(&stallRoot, 0)
 					for !stop.Load() {
 						time.Sleep(time.Millisecond)
 						if time.Since(start) > opt.Duration {
 							stop.Store(true)
 						}
 					}
-					smr.Clear(tid)
 					return
 				}
-				ops := uint64(0)
-				r := rand.New(rand.NewSource(int64(tid)*7919 + 1))
-				w := exp.Workload
+				r := rand.New(rand.NewSource(int64(w)*7919 + 1))
+				mix := exp.Workload
 				for !stop.Load() {
 					key := uint64(r.Int63n(int64(opt.KeyRange)))
 					pick := r.Intn(100)
 					switch {
-					case pick < w.Insert:
-						kv.Insert(tid, key)
-					case pick < w.Insert+w.Delete:
-						kv.Delete(tid, key)
-					case pick < w.Insert+w.Delete+w.GetPct:
-						kv.Get(tid, key)
+					case pick < mix.Insert:
+						s.Insert(g, key)
+					case pick < mix.Insert+mix.Delete:
+						s.Delete(g, key)
+					case pick < mix.Insert+mix.Delete+mix.GetPct:
+						s.Get(g, key)
 					default:
-						kv.Put(tid, key)
+						s.Put(g, key)
 					}
 					ops++
 					if ops&63 == 0 && time.Since(start) > opt.Duration {
 						stop.Store(true)
 					}
 				}
-				opsByTid[tid] = ops
 			})
 		}(w)
 	}
@@ -419,56 +407,43 @@ func runOne(exp Experiment, schemeName string, threads int, opt Options) Result 
 	elapsed := time.Since(start)
 	stop.Store(true)
 	<-samplerDone
+	d.FlushGuardCache()
 
 	var totalOps uint64
-	for _, n := range opsByTid {
+	for _, n := range opsByW {
 		totalOps += n
 	}
-	var unreclaimed float64
-	unreclaimedMax := 0
+	unreclaimed := float64(d.Unreclaimed())
+	unreclaimedMax := d.Unreclaimed()
 	if len(samples) > 0 {
-		sum := 0
-		for _, s := range samples {
-			sum += s
-			if s > unreclaimedMax {
-				unreclaimedMax = s
-			}
+		sum, peak := 0, 0
+		for _, n := range samples {
+			sum += n
+			peak = max(peak, n)
 		}
-		unreclaimed = float64(sum) / float64(len(samples))
-	} else {
-		unreclaimed = float64(smr.Unreclaimed())
-		unreclaimedMax = smr.Unreclaimed()
+		unreclaimed, unreclaimedMax = float64(sum)/float64(len(samples)), peak
 	}
 
-	r := Result{
+	// The workers are joined: the owner-written step histograms and scan
+	// counters are safe to sample now.
+	tel := d.Telemetry()
+	return Result{
 		Figure:         exp.ID,
 		DS:             exp.DS,
 		Workload:       exp.Workload.Name,
-		Scheme:         schemeName,
+		Scheme:         scheme,
 		Threads:        threads,
 		Mops:           float64(totalOps) / elapsed.Seconds() / 1e6,
 		Ops:            totalOps,
 		Unreclaimed:    unreclaimed,
 		UnreclaimedMax: unreclaimedMax,
-		SlowPaths:      slowPaths(smr) - baseSlow,
+		SlowPaths:      tel.SlowPaths - base.SlowPaths,
+		MaxSteps:       tel.MaxSteps,
+		P99Steps:       tel.P99Steps,
+		ScanScans:      tel.ScanScans - base.ScanScans,
+		ScanBlocks:     tel.ScanBlocks - base.ScanBlocks,
+		ScanNanos:      tel.ScanNanos - base.ScanNanos,
 		Exhausted:      exhausted.Load(),
+		Telemetry:      tel,
 	}
-	// The workers are joined: the owner-written step histograms and scan
-	// counters are safe to sample now — uniformly, through the scheme's
-	// shared retire-side runtime.
-	rt := smr.Retirer()
-	r.MaxSteps = rt.MaxSteps()
-	r.P99Steps = rt.StepQuantile(0.99)
-	scan := rt.Stats()
-	r.ScanScans = scan.Scans - baseScan.Scans
-	r.ScanBlocks = scan.Blocks - baseScan.Blocks
-	r.ScanNanos = scan.Nanos - baseScan.Nanos
-	return r
-}
-
-func slowPaths(smr reclaim.Scheme) uint64 {
-	if w, ok := smr.(*core.WFE); ok {
-		return w.SlowPaths()
-	}
-	return 0
 }

@@ -6,15 +6,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wfe"
 )
 
 func TestExperimentTableCoversThePaper(t *testing.T) {
 	// Every evaluation figure must be regenerable: 5a/5c (queues) plus
 	// 6–11 (list, hashmap, BST × two workloads).
 	wantDS := map[string]string{
-		"5a": "kpqueue", "5c": "crturn",
-		"6": "list", "7": "hashmap", "8": "bst",
-		"9": "list", "10": "hashmap", "11": "bst",
+		"5a": "wfqueue", "5c": "turnqueue",
+		"6": "list", "7": "hashmap", "8": "tree",
+		"9": "list", "10": "hashmap", "11": "tree",
 	}
 	if len(Experiments) != len(wantDS) {
 		t.Fatalf("%d experiments, want %d", len(Experiments), len(wantDS))
@@ -70,6 +72,52 @@ func TestPrefillKeysDistinctAndSorted(t *testing.T) {
 	small := prefillKeys(50, 10, rng)
 	if len(small) != 10 {
 		t.Fatalf("clamped prefill = %d keys, want 10", len(small))
+	}
+}
+
+func TestSetupPrefillsEveryStructure(t *testing.T) {
+	opt := Options{Prefill: 300, KeyRange: 1000}
+	for _, name := range []string{"wfqueue", "turnqueue", "list", "hashmap", "tree"} {
+		d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 12, MaxGuards: 1, Debug: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := Setup(name, d, opt).Len(); n != opt.Prefill {
+			t.Errorf("%s: Len after prefill = %d, want %d", name, n, opt.Prefill)
+		}
+	}
+}
+
+func TestMidpointOrderIsBalancedPermutation(t *testing.T) {
+	sorted := []uint64{1, 2, 3, 4, 5, 6, 7}
+	got := midpointOrder(sorted, nil)
+	want := []uint64{4, 2, 1, 3, 6, 5, 7}
+	if len(got) != len(want) {
+		t.Fatalf("midpointOrder = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("midpointOrder = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestParseSchemeForcedSlow(t *testing.T) {
+	for name, want := range map[string]struct {
+		kind wfe.SchemeKind
+		slow bool
+	}{
+		"WFE": {wfe.WFE, false}, "WFE-slow": {wfe.WFE, true},
+		"WFE-IBR": {wfe.WFEIBR, false}, "WFE-IBR-slow": {wfe.WFEIBR, true},
+		"2GEIBR": {wfe.TwoGEIBR, false},
+	} {
+		kind, slow, err := ParseScheme(name)
+		if err != nil || kind != want.kind || slow != want.slow {
+			t.Errorf("ParseScheme(%q) = %v,%v,%v; want %v,%v", name, kind, slow, err, want.kind, want.slow)
+		}
+	}
+	if _, _, err := ParseScheme("nope-slow"); err == nil {
+		t.Error("unknown scheme parsed")
 	}
 }
 
@@ -170,16 +218,15 @@ func TestAllFiguresRunnable(t *testing.T) {
 }
 
 func TestArenaCapacityAuto(t *testing.T) {
-	exp, _ := FindExperiment("7")
 	opt := Options{Prefill: 50000}.Defaults()
-	if got := arenaCapacity(exp, "WFE", opt, 8); got < 4*opt.Prefill {
+	if got := arenaCapacity(wfe.WFE, opt, 8); got < 4*opt.Prefill {
 		t.Fatalf("auto capacity %d too small for prefill %d", got, opt.Prefill)
 	}
-	if got := arenaCapacity(exp, "Leak", opt, 8); got < 1<<22 {
+	if got := arenaCapacity(wfe.Leak, opt, 8); got < 1<<22 {
 		t.Fatalf("leak capacity %d too small", got)
 	}
 	opt.Capacity = 777
-	if got := arenaCapacity(exp, "WFE", opt, 8); got != 777 {
+	if got := arenaCapacity(wfe.WFE, opt, 8); got != 777 {
 		t.Fatalf("explicit capacity not honoured: %d", got)
 	}
 }

@@ -410,7 +410,9 @@ func runSequential(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 // map guardlessly over a MaxGuards-sized pool while a hostage goroutine
 // periodically pins the whole pool and sits on it — the schedule an
 // oversubscribed machine produces when the kernel deschedules guard
-// holders — so acquisitions park. The trajectory is sampled at equal
+// holders — so acquisitions park. The hostage takes the pool before the
+// workers are released, so the first burst parks them however the
+// scheduler orders the goroutines. The trajectory is sampled at equal
 // completed-op thresholds; only its coarse shape (and Parks > 0) is
 // reproducible, so it is marked non-deterministic.
 func runOversubscribed(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
@@ -422,10 +424,12 @@ func runOversubscribed(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 	total := uint64(s.Goroutines) * uint64(opsPerG)
 	var done atomic.Uint64
 	var wg sync.WaitGroup
+	release := make(chan struct{}) // the start barrier the hostage opens
 	for gi := 0; gi < s.Goroutines; gi++ {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
+			<-release
 			rng := xorshift64(s.Seed ^ (uint64(gi+1) * 0x9e3779b97f4a7c15))
 			if rng == 0 {
 				rng = 1
@@ -455,14 +459,15 @@ func runOversubscribed(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 	// The hostage loop models descheduled guard holders: pin every guard,
 	// hold them across a scheduler quantum, release. Workers that hit the
 	// empty pool park (the pool counts each park), exactly the pressure
-	// the advisor's oversubscription signal keys on.
+	// the advisor's oversubscription signal keys on. The first burst runs
+	// before the workers start, so the storm cannot finish ahead of it.
 	const hostageBursts = 8
 	var hostage sync.WaitGroup
 	hostage.Add(1)
 	go func() {
 		defer hostage.Done()
-		for k := 1; k <= hostageBursts; k++ {
-			threshold := total * uint64(k) / (hostageBursts + 1)
+		for k := 0; k < hostageBursts; k++ {
+			threshold := total * uint64(k) / hostageBursts
 			for done.Load() < threshold {
 				select {
 				case <-finished:
@@ -475,13 +480,22 @@ func runOversubscribed(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 			for i := 0; i < s.MaxGuards; i++ {
 				gs = append(gs, d.Pin())
 			}
-			// Sit on the whole pool until the storm visibly parks on it
-			// (or a yield budget runs out — parked workers must not be
-			// able to deadlock the run by never advancing done).
+			if k == 0 {
+				close(release)
+			}
+			// Sit on the whole pool until the storm visibly parks on it,
+			// the storm ends, or a yield budget runs out — parked workers
+			// must not be able to deadlock the run by never advancing done.
 			base := d.Sample().GuardParks
 			want := base + uint64(s.Goroutines)/4 + 1
+		hold:
 			for spin := 0; spin < 1<<14 && d.Sample().GuardParks < want; spin++ {
-				runtime.Gosched()
+				select {
+				case <-finished:
+					break hold
+				default:
+					runtime.Gosched()
+				}
 			}
 			for _, g := range gs {
 				d.Unpin(g)

@@ -1,31 +1,25 @@
-package bst_test
+// Package bst tests the public wfe.Tree, the external BST of the paper's
+// Figures 8 and 11.
+package bst
 
 import (
 	"math/rand"
 	"testing"
 
-	"wfe/internal/ds"
-	"wfe/internal/ds/bst"
-	"wfe/internal/ds/dstest"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
+	"wfe"
+	"wfe/internal/ds/pubtest"
 )
 
 func TestBSTSuite(t *testing.T) {
-	dstest.RunMapSuite(t, func(smr reclaim.Scheme) ds.KV {
-		return bst.New(smr).KV()
+	pubtest.RunMapSuite(t, func(d *wfe.Domain[uint64]) pubtest.Map {
+		return wfe.NewTree[uint64](d)
 	})
 }
 
-func newWFETree(t *testing.T) (*bst.Tree, reclaim.Scheme) {
+func newWFETree(t *testing.T) (*wfe.Tree[uint64], *wfe.Domain[uint64]) {
 	t.Helper()
-	a := mem.New(mem.Config{Capacity: 1 << 14, MaxThreads: 2, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bst.New(s), s
+	d := pubtest.NewDomain(t, "WFE", 2, 1<<14)
+	return wfe.NewTree[uint64](d), d
 }
 
 func TestBSTShapes(t *testing.T) {
@@ -34,7 +28,7 @@ func TestBSTShapes(t *testing.T) {
 	// (external BSTs do not rebalance, but routing must stay correct).
 	keys := []uint64{50, 25, 75, 10, 30, 60, 90, 5, 15, 27, 35}
 	for _, k := range keys {
-		if !tr.Insert(0, k, k*10) {
+		if !tr.Insert(k, k*10) {
 			t.Fatalf("insert %d failed", k)
 		}
 	}
@@ -42,17 +36,17 @@ func TestBSTShapes(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(keys))
 	}
 	for _, k := range keys {
-		v, ok := tr.Get(0, k)
+		v, ok := tr.Get(k)
 		if !ok || v != k*10 {
 			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
 		}
 	}
 	// Delete interior and leaf positions.
 	for _, k := range []uint64{25, 5, 90, 50} {
-		if !tr.Delete(0, k) {
+		if !tr.Delete(k) {
 			t.Fatalf("delete %d failed", k)
 		}
-		if _, ok := tr.Get(0, k); ok {
+		if _, ok := tr.Get(k); ok {
 			t.Fatalf("key %d reachable after delete", k)
 		}
 	}
@@ -66,10 +60,10 @@ func TestBSTDrainToEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(200)
 	for _, k := range keys {
-		tr.Insert(0, uint64(k), uint64(k))
+		tr.Insert(uint64(k), uint64(k))
 	}
 	for _, k := range rng.Perm(200) {
-		if !tr.Delete(0, uint64(k)) {
+		if !tr.Delete(uint64(k)) {
 			t.Fatalf("delete %d failed", k)
 		}
 	}
@@ -78,7 +72,7 @@ func TestBSTDrainToEmpty(t *testing.T) {
 	}
 	// Reuse after a full drain.
 	for _, k := range []uint64{3, 1, 4, 1, 5} {
-		tr.Put(0, k, k)
+		tr.Put(k, k)
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len after refill = %d", tr.Len())
@@ -86,21 +80,21 @@ func TestBSTDrainToEmpty(t *testing.T) {
 }
 
 func TestBSTReclaimsNodes(t *testing.T) {
-	tr, s := newWFETree(t)
+	tr, d := newWFETree(t)
 	for i := 0; i < 2000; i++ {
-		tr.Insert(0, 42, 1)
-		tr.Delete(0, 42)
+		tr.Insert(42, 1)
+		tr.Delete(42)
 	}
-	if inUse := s.Arena().Stats().InUse; inUse > 300 {
-		t.Fatalf("BST churn leaked: %d blocks in use", inUse)
+	if live := d.ArenaCensus().Live; live > 300 {
+		t.Fatalf("BST churn leaked: %d blocks in use", live)
 	}
 }
 
 func TestBSTValueRefresh(t *testing.T) {
 	tr, _ := newWFETree(t)
-	tr.Put(0, 9, 1)
-	tr.Put(0, 9, 2)
-	if v, ok := tr.Get(0, 9); !ok || v != 2 {
+	tr.Put(9, 1)
+	tr.Put(9, 2)
+	if v, ok := tr.Get(9); !ok || v != 2 {
 		t.Fatalf("Get = %d,%v after refresh", v, ok)
 	}
 }

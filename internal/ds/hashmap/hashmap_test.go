@@ -1,38 +1,32 @@
-package hashmap_test
+// Package hashmap tests the public wfe.HashMap, the Michael hash map of the
+// paper's Figures 7 and 10.
+package hashmap
 
 import (
 	"testing"
 
-	"wfe/internal/ds"
-	"wfe/internal/ds/dstest"
-	"wfe/internal/ds/hashmap"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
+	"wfe"
+	"wfe/internal/ds/pubtest"
 )
 
 func TestHashMapSuite(t *testing.T) {
-	dstest.RunMapSuite(t, func(smr reclaim.Scheme) ds.KV {
-		return hashmap.New(smr, 64).KV()
+	pubtest.RunMapSuite(t, func(d *wfe.Domain[uint64]) pubtest.Map {
+		return wfe.NewHashMap[uint64](d, 64)
 	})
 }
 
 func TestSingleBucketDegeneratesToList(t *testing.T) {
 	// With one bucket every key collides; the map must still be correct.
-	dstest.RunMapSuite(t, func(smr reclaim.Scheme) ds.KV {
-		return hashmap.New(smr, 1).KV()
+	pubtest.RunMapSuite(t, func(d *wfe.Domain[uint64]) pubtest.Map {
+		return wfe.NewHashMap[uint64](d, 1)
 	})
 }
 
 func TestBucketRounding(t *testing.T) {
-	a := mem.New(mem.Config{Capacity: 1 << 10, MaxThreads: 1, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := hashmap.New(s, 100) // rounds to 128
+	d := pubtest.NewDomain(t, "WFE", 1, 1<<10)
+	m := wfe.NewHashMap[uint64](d, 100) // rounds to 128
 	for k := uint64(0); k < 500; k++ {
-		if !m.Insert(0, k, k) {
+		if !m.Insert(k, k) {
 			t.Fatalf("insert %d failed", k)
 		}
 	}
@@ -40,45 +34,8 @@ func TestBucketRounding(t *testing.T) {
 		t.Fatalf("Len = %d", m.Len())
 	}
 	for k := uint64(0); k < 500; k++ {
-		if v, ok := m.Get(0, k); !ok || v != k {
+		if v, ok := m.Get(k); !ok || v != k {
 			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
 		}
-	}
-}
-
-func TestSeedBulkLoad(t *testing.T) {
-	a := mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: 1, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := hashmap.New(s, 16)
-	keys := []uint64{3, 14, 15, 92, 65, 358, 979}
-	m.Seed(0, keys)
-	if m.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(keys))
-	}
-	for _, k := range keys {
-		if v, ok := m.Get(0, k); !ok || v != k {
-			t.Fatalf("seeded key %d: got %d,%v", k, v, ok)
-		}
-	}
-	// Seeded nodes participate in normal operation afterwards.
-	if !m.Delete(0, 92) || m.Len() != len(keys)-1 {
-		t.Fatal("delete of seeded key failed")
-	}
-	if m.Insert(0, 14, 14) {
-		t.Fatal("duplicate insert of seeded key succeeded")
-	}
-	kv := m.KV()
-	if !kv.Get(0, 3) {
-		t.Fatal("KV adapter lost seeded key")
-	}
-	if s2, ok := kv.(interface {
-		Seed(int, []uint64)
-	}); ok {
-		s2.Seed(0, nil) // adapter path, empty seed is a no-op
-	} else {
-		t.Fatal("KV adapter does not expose Seed")
 	}
 }

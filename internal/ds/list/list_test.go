@@ -1,46 +1,41 @@
-package list_test
+// Package list tests the Harris–Michael sorted list of the paper's
+// Figures 6 and 9: a one-bucket public wfe.HashMap, whose single chain is
+// exactly that list.
+package list
 
 import (
 	"testing"
 
-	"wfe/internal/ds"
-	"wfe/internal/ds/dstest"
-	"wfe/internal/ds/list"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
+	"wfe"
+	"wfe/internal/ds/pubtest"
 )
 
 func TestListSuite(t *testing.T) {
-	dstest.RunMapSuite(t, func(smr reclaim.Scheme) ds.KV {
-		return list.New(smr).KV()
+	pubtest.RunMapSuite(t, func(d *wfe.Domain[uint64]) pubtest.Map {
+		return wfe.NewHashMap[uint64](d, 1)
 	})
 }
 
-func newWFEList(t *testing.T) (*list.List, reclaim.Scheme) {
+func newWFEList(t *testing.T) (*wfe.HashMap[uint64], *wfe.Domain[uint64]) {
 	t.Helper()
-	a := mem.New(mem.Config{Capacity: 1 << 12, MaxThreads: 2, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return list.New(s), s
+	d := pubtest.NewDomain(t, "WFE", 2, 1<<12)
+	return wfe.NewHashMap[uint64](d, 1), d
 }
 
 func TestListValues(t *testing.T) {
 	l, _ := newWFEList(t)
-	if !l.Insert(0, 7, 700) {
+	if !l.Insert(7, 700) {
 		t.Fatal("insert failed")
 	}
-	if v, ok := l.Get(0, 7); !ok || v != 700 {
+	if v, ok := l.Get(7); !ok || v != 700 {
 		t.Fatalf("Get = %d,%v", v, ok)
 	}
-	l.Put(0, 7, 701)
-	if v, _ := l.Get(0, 7); v != 701 {
+	l.Put(7, 701)
+	if v, _ := l.Get(7); v != 701 {
 		t.Fatalf("Put did not refresh: %d", v)
 	}
-	l.Put(0, 8, 800)
-	if v, _ := l.Get(0, 8); v != 800 {
+	l.Put(8, 800)
+	if v, _ := l.Get(8); v != 800 {
 		t.Fatalf("Put did not insert: %d", v)
 	}
 }
@@ -48,32 +43,32 @@ func TestListValues(t *testing.T) {
 func TestListSortedTraversal(t *testing.T) {
 	l, _ := newWFEList(t)
 	for _, k := range []uint64{5, 1, 9, 3, 7} {
-		l.Insert(0, k, k)
+		l.Insert(k, k)
 	}
 	if got := l.Len(); got != 5 {
 		t.Fatalf("Len = %d", got)
 	}
 	// Deleting the middle keeps the rest reachable.
-	l.Delete(0, 5)
+	l.Delete(5)
 	for _, k := range []uint64{1, 3, 7, 9} {
-		if _, ok := l.Get(0, k); !ok {
+		if _, ok := l.Get(k); !ok {
 			t.Fatalf("key %d lost after unrelated delete", k)
 		}
 	}
-	if _, ok := l.Get(0, 5); ok {
+	if _, ok := l.Get(5); ok {
 		t.Fatal("deleted key reachable")
 	}
 }
 
 func TestListReclaimsDeletedNodes(t *testing.T) {
-	l, s := newWFEList(t)
-	// Churn one key; retired nodes must be recycled, keeping InUse bounded.
+	l, d := newWFEList(t)
+	// Churn one key; retired nodes must be recycled, keeping the live
+	// block count bounded.
 	for i := 0; i < 2000; i++ {
-		l.Insert(0, 1, 1)
-		l.Delete(0, 1)
+		l.Insert(1, 1)
+		l.Delete(1)
 	}
-	st := s.Arena().Stats()
-	if st.InUse > 200 {
-		t.Fatalf("nodes not recycled: in use = %d after churn", st.InUse)
+	if live := d.ArenaCensus().Live; live > 200 {
+		t.Fatalf("nodes not recycled: in use = %d after churn", live)
 	}
 }

@@ -1,55 +1,37 @@
-package msqueue_test
+// Package msqueue tests the public wfe.Queue, the Michael–Scott queue,
+// against the shared queue conformance suite.
+package msqueue
 
 import (
 	"testing"
 
-	"wfe/internal/ds/msqueue"
+	"wfe"
+	"wfe/internal/ds/pubtest"
 	"wfe/internal/ds/queuetest"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
 )
 
-func TestMSQueueSuite(t *testing.T) {
-	queuetest.RunQueueSuite(t, func(smr reclaim.Scheme, maxThreads int) queuetest.Queue {
-		return msqueue.New(smr)
-	})
+// tidQueue drives a public Queue by fixed tid: each tid owns one guard
+// for the queue's whole life.
+type tidQueue struct {
+	q      *wfe.Queue[uint64]
+	guards []*wfe.Guard[uint64]
 }
 
-func TestMSQueueLenSeedAndKV(t *testing.T) {
-	a := mem.New(mem.Config{Capacity: 1 << 10, MaxThreads: 1, Debug: true})
-	s, err := schemes.New("WFE", a, reclaim.Config{MaxThreads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := msqueue.New(s)
-	q.Seed(0, []uint64{1, 2, 3})
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	kv := q.KV()
-	if !kv.Insert(0, 4) {
-		t.Fatal("Insert (enqueue) reported false")
-	}
-	for want := uint64(1); want <= 4; want++ {
-		if !kv.Delete(0, 0) {
-			t.Fatalf("Delete (dequeue) failed at %d", want)
+func (q tidQueue) Enqueue(tid int, v uint64)      { q.q.EnqueueGuarded(q.guards[tid], v) }
+func (q tidQueue) Dequeue(tid int) (uint64, bool) { return q.q.DequeueGuarded(q.guards[tid]) }
+
+func TestMSQueueSuite(t *testing.T) {
+	queuetest.RunSuite(t, func(t testing.TB, scheme string, threads, capacity int) (queuetest.Queue, func() int) {
+		d := pubtest.NewDomain(t, scheme, threads, capacity)
+		q := tidQueue{q: wfe.NewQueue[uint64](d)}
+		for range threads {
+			q.guards = append(q.guards, d.Guard())
 		}
-	}
-	if kv.Delete(0, 0) {
-		t.Fatal("dequeue on empty succeeded")
-	}
-	for _, f := range []func(){
-		func() { kv.Get(0, 1) },
-		func() { kv.Put(0, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("Get/Put on a queue did not panic")
-				}
-			}()
-			f()
-		}()
-	}
+		t.Cleanup(func() {
+			for _, g := range q.guards {
+				g.Release()
+			}
+		})
+		return q, func() int { return d.ArenaCensus().Live }
+	})
 }

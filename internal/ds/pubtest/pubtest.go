@@ -1,37 +1,57 @@
-// Package dstest is the shared conformance suite for the key-value data
-// structures: sequential semantics, a randomized model-equivalence property
-// test, and a concurrent linearizability-style invariant stress run under
-// every reclamation scheme with the arena's use-after-free detection armed.
-package dstest
+// Package pubtest is the shared conformance suite for the public map
+// structures (wfe.HashMap and wfe.Tree): sequential semantics, a
+// randomized model-equivalence property test, and a concurrent
+// net-membership stress run under every reclamation scheme with the
+// arena's use-after-free detection armed.
+//
+// Workers drive the structure the way the paper's threads do with a fixed
+// tid: each holds one explicitly acquired Guard for its whole run and uses
+// the Guarded methods.
+package pubtest
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
 
-	"wfe/internal/ds"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
+	"wfe"
+	"wfe/internal/bench"
 )
 
-// Builder constructs the structure under test over the given scheme.
-type Builder func(smr reclaim.Scheme) ds.KV
+// Map is the operation set under test, shared by wfe.HashMap and wfe.Tree.
+type Map interface {
+	InsertGuarded(g *wfe.Guard[uint64], key, val uint64) bool
+	DeleteGuarded(g *wfe.Guard[uint64], key uint64) bool
+	GetGuarded(g *wfe.Guard[uint64], key uint64) (uint64, bool)
+	PutGuarded(g *wfe.Guard[uint64], key, val uint64)
+	LenGuarded(g *wfe.Guard[uint64]) int
+}
+
+// Builder constructs the map under test on the given Domain.
+type Builder func(d *wfe.Domain[uint64]) Map
 
 // schemesUnderTest exercises every reclaiming scheme plus the forced-slow
-// WFE configuration; Leak is covered implicitly (no reclamation to break).
+// configurations of the wait-free ones; Leak is covered implicitly (no
+// reclamation to break).
 var schemesUnderTest = []string{"WFE", "WFE-slow", "HE", "HP", "EBR", "2GEIBR", "WFE-IBR", "WFE-IBR-slow"}
 
-func newScheme(t testing.TB, name string, threads, capacity int) reclaim.Scheme {
+// NewDomain builds a debug-arena Domain running the named scheme (a
+// legend name, optionally with the "-slow" suffix that forces WFE's and
+// WFE-IBR's helping path) for up to guards concurrent guards.
+func NewDomain(t testing.TB, scheme string, guards, capacity int) *wfe.Domain[uint64] {
 	t.Helper()
-	a := mem.New(mem.Config{Capacity: capacity, MaxThreads: threads, Debug: true})
-	s, err := schemes.New(name, a, reclaim.Config{
-		MaxThreads: threads, EraFreq: 32, CleanupFreq: 8,
+	kind, slow, err := bench.ParseScheme(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := wfe.NewDomain[uint64](wfe.Options{
+		Scheme: kind, ForceSlowPath: slow, Capacity: capacity, MaxGuards: guards,
+		EraFreq: 32, CleanupFreq: 8, Debug: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return d
 }
 
 // RunMapSuite runs the full conformance suite for a map-like structure.
@@ -44,54 +64,60 @@ func RunMapSuite(t *testing.T, build Builder) {
 }
 
 func runSequential(t *testing.T, build Builder) {
-	m := build(newScheme(t, "WFE", 1, 1<<12))
+	d := NewDomain(t, "WFE", 1, 1<<12)
+	m := build(d)
+	g := d.Guard()
+	defer g.Release()
 
-	if m.Get(0, 10) {
+	if _, ok := m.GetGuarded(g, 10); ok {
 		t.Fatal("empty map contains 10")
 	}
-	if !m.Insert(0, 10) {
+	if !m.InsertGuarded(g, 10, 10) {
 		t.Fatal("insert into empty map failed")
 	}
-	if m.Insert(0, 10) {
+	if m.InsertGuarded(g, 10, 10) {
 		t.Fatal("duplicate insert succeeded")
 	}
-	if !m.Get(0, 10) {
+	if _, ok := m.GetGuarded(g, 10); !ok {
 		t.Fatal("inserted key missing")
 	}
-	if m.Delete(0, 11) {
+	if m.DeleteGuarded(g, 11) {
 		t.Fatal("deleted an absent key")
 	}
-	if !m.Delete(0, 10) {
+	if !m.DeleteGuarded(g, 10) {
 		t.Fatal("delete of present key failed")
 	}
-	if m.Get(0, 10) {
+	if _, ok := m.GetGuarded(g, 10); ok {
 		t.Fatal("deleted key still present")
 	}
 	// Put must work as both insert and refresh.
-	m.Put(0, 20)
-	m.Put(0, 20)
-	if !m.Get(0, 20) {
-		t.Fatal("put key missing")
+	m.PutGuarded(g, 20, 1)
+	m.PutGuarded(g, 20, 2)
+	if v, ok := m.GetGuarded(g, 20); !ok || v != 2 {
+		t.Fatalf("put key: Get = %d,%v; want 2,true", v, ok)
 	}
 
 	// Ordered bulk round-trip.
 	for k := uint64(1); k <= 100; k++ {
-		if !m.Insert(0, k*3) {
+		if !m.InsertGuarded(g, k*3, k) {
 			t.Fatalf("bulk insert %d failed", k*3)
 		}
 	}
 	for k := uint64(1); k <= 100; k++ {
-		if !m.Get(0, k*3) {
-			t.Fatalf("bulk key %d missing", k*3)
+		if v, ok := m.GetGuarded(g, k*3); !ok || v != k {
+			t.Fatalf("bulk key %d: Get = %d,%v", k*3, v, ok)
 		}
-		if m.Get(0, k*3+1) {
+		if _, ok := m.GetGuarded(g, k*3+1); ok {
 			t.Fatalf("phantom key %d present", k*3+1)
 		}
 	}
 	for k := uint64(1); k <= 100; k++ {
-		if !m.Delete(0, k*3) {
+		if !m.DeleteGuarded(g, k*3) {
 			t.Fatalf("bulk delete %d failed", k*3)
 		}
+	}
+	if n := m.LenGuarded(g); n != 1 {
+		t.Fatalf("Len after bulk round-trip = %d, want 1", n)
 	}
 }
 
@@ -100,7 +126,9 @@ func runSequential(t *testing.T, build Builder) {
 // repeated delete/insert of the same keys.
 func runModel(t *testing.T, build Builder) {
 	for seed := int64(1); seed <= 5; seed++ {
-		m := build(newScheme(t, "WFE", 1, 1<<14))
+		d := NewDomain(t, "WFE", 1, 1<<14)
+		m := build(d)
+		g := d.Guard()
 		model := make(map[uint64]bool)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 5000; i++ {
@@ -108,26 +136,30 @@ func runModel(t *testing.T, build Builder) {
 			switch rng.Intn(4) {
 			case 0:
 				want := !model[key]
-				if got := m.Insert(0, key); got != want {
+				if got := m.InsertGuarded(g, key, key); got != want {
 					t.Fatalf("seed %d op %d: Insert(%d) = %v, model says %v", seed, i, key, got, want)
 				}
 				model[key] = true
 			case 1:
 				want := model[key]
-				if got := m.Delete(0, key); got != want {
+				if got := m.DeleteGuarded(g, key); got != want {
 					t.Fatalf("seed %d op %d: Delete(%d) = %v, model says %v", seed, i, key, got, want)
 				}
 				delete(model, key)
 			case 2:
 				want := model[key]
-				if got := m.Get(0, key); got != want {
+				if _, got := m.GetGuarded(g, key); got != want {
 					t.Fatalf("seed %d op %d: Get(%d) = %v, model says %v", seed, i, key, got, want)
 				}
 			case 3:
-				m.Put(0, key)
+				m.PutGuarded(g, key, key)
 				model[key] = true
 			}
 		}
+		if n := m.LenGuarded(g); n != len(model) {
+			t.Fatalf("seed %d: Len = %d, model holds %d", seed, n, len(model))
+		}
+		g.Release()
 	}
 }
 
@@ -144,8 +176,8 @@ func runStress(t *testing.T, build Builder, schemeName string) {
 		keyRange = 64
 		iters    = 15000
 	)
-	smr := newScheme(t, schemeName, workers, 1<<17)
-	m := build(smr)
+	d := NewDomain(t, schemeName, workers, 1<<17)
+	m := build(d)
 
 	type counters struct{ ins, del [keyRange]uint64 }
 	perWorker := make([]counters, workers)
@@ -155,27 +187,37 @@ func runStress(t *testing.T, build Builder, schemeName string) {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
+			g := d.Guard()
+			defer g.Release()
 			rng := rand.New(rand.NewSource(int64(tid) + 42))
 			c := &perWorker[tid]
 			for i := 0; i < iters; i++ {
 				key := uint64(rng.Intn(keyRange))
 				switch rng.Intn(3) {
 				case 0:
-					if m.Insert(tid, key) {
+					if m.InsertGuarded(g, key, key) {
 						c.ins[key]++
 					}
 				case 1:
-					if m.Delete(tid, key) {
+					if m.DeleteGuarded(g, key) {
 						c.del[key]++
 					}
 				case 2:
-					m.Get(tid, key)
+					if v, ok := m.GetGuarded(g, key); ok && v != key {
+						t.Errorf("%s: Get(%d) = %d", schemeName, key, v)
+						return
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
+	g := d.Guard()
+	defer g.Release()
 	for key := uint64(0); key < keyRange; key++ {
 		var ins, del uint64
 		for w := range perWorker {
@@ -186,11 +228,11 @@ func runStress(t *testing.T, build Builder, schemeName string) {
 		if net != 0 && net != 1 {
 			t.Fatalf("%s: key %d net count %d (ins=%d del=%d)", schemeName, key, net, ins, del)
 		}
-		if got := m.Get(0, key); got != (net == 1) {
+		if _, got := m.GetGuarded(g, key); got != (net == 1) {
 			t.Fatalf("%s: key %d present=%v but net=%d", schemeName, key, got, net)
 		}
 	}
-	if smr.Arena().Stats().InUse == 0 {
+	if d.ArenaCensus().Live == 0 {
 		t.Fatalf("%s: arena reports nothing in use after stress (bookkeeping broken?)", schemeName)
 	}
 }

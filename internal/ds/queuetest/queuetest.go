@@ -23,6 +23,11 @@ type Queue interface {
 // Builder constructs the queue under test for maxThreads threads.
 type Builder func(smr reclaim.Scheme, maxThreads int) Queue
 
+// Opener constructs the queue under test over a fresh debug arena running
+// the named scheme ("-slow" suffix included) for threads threads, and
+// returns with it a count of the arena's live blocks.
+type Opener func(t testing.TB, scheme string, threads, capacity int) (q Queue, live func() int)
+
 var schemesUnderTest = []string{"WFE", "WFE-slow", "HE", "HP", "EBR", "2GEIBR", "WFE-IBR", "WFE-IBR-slow", "Leak"}
 
 func newScheme(t testing.TB, name string, threads, capacity int) reclaim.Scheme {
@@ -37,19 +42,28 @@ func newScheme(t testing.TB, name string, threads, capacity int) reclaim.Scheme 
 	return s
 }
 
-// RunQueueSuite runs the full conformance suite.
+// RunQueueSuite runs the full conformance suite on a queue built over a
+// raw reclaim.Scheme.
 func RunQueueSuite(t *testing.T, build Builder) {
-	t.Run("SequentialFIFO", func(t *testing.T) { runSequential(t, build) })
-	t.Run("EmptyBehaviour", func(t *testing.T) { runEmpty(t, build) })
-	t.Run("AlternatingChurn", func(t *testing.T) { runChurn(t, build) })
-	for _, name := range schemesUnderTest {
-		t.Run("Stress/"+name, func(t *testing.T) { runStress(t, build, name) })
-	}
-	t.Run("RealTimeOrder", func(t *testing.T) { RunRealTimeOrderCheck(t, build) })
+	RunSuite(t, func(t testing.TB, scheme string, threads, capacity int) (Queue, func() int) {
+		smr := newScheme(t, scheme, threads, capacity)
+		return build(smr, threads), func() int { return int(smr.Arena().Stats().InUse) }
+	})
 }
 
-func runSequential(t *testing.T, build Builder) {
-	q := build(newScheme(t, "WFE", 1, 1<<12), 1)
+// RunSuite runs the full conformance suite on queues built by open.
+func RunSuite(t *testing.T, open Opener) {
+	t.Run("SequentialFIFO", func(t *testing.T) { runSequential(t, open) })
+	t.Run("EmptyBehaviour", func(t *testing.T) { runEmpty(t, open) })
+	t.Run("AlternatingChurn", func(t *testing.T) { runChurn(t, open) })
+	for _, name := range schemesUnderTest {
+		t.Run("Stress/"+name, func(t *testing.T) { runStress(t, open, name) })
+	}
+	t.Run("RealTimeOrder", func(t *testing.T) { RunRealTimeOrderCheck(t, open) })
+}
+
+func runSequential(t *testing.T, open Opener) {
+	q, _ := open(t, "WFE", 1, 1<<12)
 	for v := uint64(1); v <= 200; v++ {
 		q.Enqueue(0, v)
 	}
@@ -64,8 +78,8 @@ func runSequential(t *testing.T, build Builder) {
 	}
 }
 
-func runEmpty(t *testing.T, build Builder) {
-	q := build(newScheme(t, "WFE", 1, 1<<12), 1)
+func runEmpty(t *testing.T, open Opener) {
+	q, _ := open(t, "WFE", 1, 1<<12)
 	if _, ok := q.Dequeue(0); ok {
 		t.Fatal("empty queue returned a value")
 	}
@@ -89,9 +103,8 @@ func runEmpty(t *testing.T, build Builder) {
 
 // runChurn exercises node recycling: enqueue/dequeue pairs far beyond the
 // arena capacity only fit if reclamation actually recycles nodes.
-func runChurn(t *testing.T, build Builder) {
-	smr := newScheme(t, "WFE", 1, 512)
-	q := build(smr, 1)
+func runChurn(t *testing.T, open Opener) {
+	q, live := open(t, "WFE", 1, 512)
 	for i := uint64(0); i < 20000; i++ {
 		q.Enqueue(0, i)
 		v, ok := q.Dequeue(0)
@@ -99,7 +112,7 @@ func runChurn(t *testing.T, build Builder) {
 			t.Fatalf("churn iteration %d: got %d,%v", i, v, ok)
 		}
 	}
-	if inUse := smr.Arena().Stats().InUse; inUse > 400 {
+	if inUse := live(); inUse > 400 {
 		t.Fatalf("nodes not recycled: %d in use", inUse)
 	}
 }
@@ -107,7 +120,7 @@ func runChurn(t *testing.T, build Builder) {
 // runStress checks conservation (every enqueued value dequeued at most
 // once, none lost) and per-producer FIFO order under concurrency. Values
 // encode producer and sequence so consumers can verify order.
-func runStress(t *testing.T, build Builder, schemeName string) {
+func runStress(t *testing.T, open Opener, schemeName string) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
@@ -121,8 +134,7 @@ func runStress(t *testing.T, build Builder, schemeName string) {
 	if schemeName == "Leak" {
 		capacity = producers*perProd + 2048
 	}
-	smr := newScheme(t, schemeName, threads, capacity)
-	q := build(smr, threads)
+	q, _ := open(t, schemeName, threads, capacity)
 
 	dequeued := make([][]uint64, consumers)
 	var wg sync.WaitGroup
@@ -220,7 +232,7 @@ type opStamp struct {
 // the queue, so observing dequeue(b) complete before dequeue(a) starts is a
 // linearizability violation. The pairwise check is a sound (necessary)
 // condition that catches reordering bugs without full history search.
-func RunRealTimeOrderCheck(t *testing.T, build Builder) {
+func RunRealTimeOrderCheck(t *testing.T, open Opener) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
@@ -230,8 +242,7 @@ func RunRealTimeOrderCheck(t *testing.T, build Builder) {
 		perProd   = 3000
 	)
 	threads := producers + consumers
-	smr := newScheme(t, "WFE", threads, 1<<16)
-	q := build(smr, threads)
+	q, _ := open(t, "WFE", threads, 1<<16)
 
 	var (
 		enqs = make([][]opStamp, producers)

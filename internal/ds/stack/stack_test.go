@@ -1,47 +1,42 @@
-package stack_test
+// Package stack tests the public wfe.Stack, the Treiber stack.
+package stack
 
 import (
 	"sync"
 	"testing"
 
-	"wfe/internal/ds/stack"
-	"wfe/internal/mem"
-	"wfe/internal/reclaim"
-	"wfe/internal/schemes"
+	"wfe"
+	"wfe/internal/ds/pubtest"
 )
 
 var allSchemes = []string{"WFE", "WFE-slow", "HE", "HP", "EBR", "2GEIBR", "WFE-IBR", "Leak"}
 
-func newStack(t *testing.T, name string, threads, capacity int) (*stack.Stack, reclaim.Scheme) {
+func newStack(t *testing.T, name string, threads, capacity int) (*wfe.Stack[uint64], *wfe.Domain[uint64]) {
 	t.Helper()
-	a := mem.New(mem.Config{Capacity: capacity, MaxThreads: threads, Debug: true})
-	s, err := schemes.New(name, a, reclaim.Config{MaxThreads: threads, EraFreq: 16, CleanupFreq: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stack.New(s), s
+	d := pubtest.NewDomain(t, name, threads, capacity)
+	return wfe.NewStack[uint64](d), d
 }
 
 func TestLIFO(t *testing.T) {
 	for _, name := range allSchemes {
 		t.Run(name, func(t *testing.T) {
 			st, _ := newStack(t, name, 1, 1<<12)
-			if _, ok := st.Pop(0); ok {
+			if _, ok := st.Pop(); ok {
 				t.Fatal("pop from empty stack succeeded")
 			}
 			for v := uint64(1); v <= 100; v++ {
-				st.Push(0, v)
+				st.Push(v)
 			}
 			if st.Len() != 100 {
 				t.Fatalf("Len = %d", st.Len())
 			}
 			for v := uint64(100); v >= 1; v-- {
-				got, ok := st.Pop(0)
+				got, ok := st.Pop()
 				if !ok || got != v {
 					t.Fatalf("Pop = %d,%v; want %d", got, ok, v)
 				}
 			}
-			if _, ok := st.Pop(0); ok {
+			if _, ok := st.Pop(); ok {
 				t.Fatal("drained stack not empty")
 			}
 		})
@@ -50,7 +45,8 @@ func TestLIFO(t *testing.T) {
 
 // TestConservation pushes disjoint value ranges from every worker while
 // popping concurrently; afterwards every pushed value must have been popped
-// exactly once or remain on the stack.
+// exactly once or remain on the stack. Each worker holds one guard for its
+// whole run, as a fixed-tid thread would.
 func TestConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -65,18 +61,20 @@ func TestConservation(t *testing.T) {
 			if name == "Leak" {
 				capacity = workers*perWorker + 1024
 			}
-			st, smr := newStack(t, name, workers, capacity)
+			st, d := newStack(t, name, workers, capacity)
 			popped := make([][]uint64, workers)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(tid int) {
 					defer wg.Done()
+					g := d.Guard()
+					defer g.Release()
 					base := uint64(tid) * perWorker
 					for i := 0; i < perWorker; i++ {
-						st.Push(tid, base+uint64(i)+1)
+						st.PushGuarded(g, base+uint64(i)+1)
 						if i%2 == 0 {
-							if v, ok := st.Pop(tid); ok {
+							if v, ok := st.PopGuarded(g); ok {
 								popped[tid] = append(popped[tid], v)
 							}
 						}
@@ -92,7 +90,7 @@ func TestConservation(t *testing.T) {
 				}
 			}
 			for {
-				v, ok := st.Pop(0)
+				v, ok := st.Pop()
 				if !ok {
 					break
 				}
@@ -106,8 +104,8 @@ func TestConservation(t *testing.T) {
 					t.Fatalf("%s: value %d observed %d times", name, v, n)
 				}
 			}
-			if name != "Leak" && smr.Unreclaimed() > 10000 {
-				t.Fatalf("%s: unreclaimed backlog %d too large", name, smr.Unreclaimed())
+			if name != "Leak" && d.Unreclaimed() > 10000 {
+				t.Fatalf("%s: unreclaimed backlog %d too large", name, d.Unreclaimed())
 			}
 		})
 	}

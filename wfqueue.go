@@ -3,6 +3,7 @@ package wfe
 import (
 	"errors"
 
+	"wfe/internal/ds/crturn"
 	"wfe/internal/ds/kpqueue"
 )
 
@@ -25,10 +26,7 @@ import (
 // guard from the Domain's guard runtime for the duration of the operation,
 // so any number of goroutines may call them. The Guarded variants take an
 // explicit or pinned Guard and skip the lease — use them in hot loops.
-type WFQueue[T any] struct {
-	d *Domain[T]
-	q *kpqueue.Queue
-}
+type WFQueue[T any] struct{ boxedQueue[T] }
 
 // NewWFQueue creates an empty wait-free queue on the Domain. It leases a
 // guard to allocate the sentinel node, parking briefly if all guards are
@@ -37,25 +35,72 @@ type WFQueue[T any] struct {
 func NewWFQueue[T any](d *Domain[T]) *WFQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
-	return &WFQueue[T]{d: d, q: kpqueue.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}
+	return &WFQueue[T]{boxedQueue[T]{d, kpqueue.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
+}
+
+// TurnQueue is the CRTurn wait-free MPMC FIFO queue of T (Ramalhete &
+// Correia), the second wait-free structure of the paper's evaluation
+// (Figures 5c/5d). Enqueuers announce nodes that helpers link in "turn"
+// order; dequeuers announce requests that helpers satisfy by handing over
+// the head's successor — so every operation completes within one full turn
+// regardless of scheduling. It needs 2 protection slots per guard.
+//
+// Like WFQueue, the generic payload travels in a private value box rather
+// than the queue node: the hand-off protocol moves a fixed-width word
+// between threads, and the box's handle is that word. The receiving
+// dequeuer — the only goroutine that ever gets the handle — unboxes the T
+// and returns the block to the arena.
+//
+// The plain methods (Enqueue, Dequeue, Len) are guardless: each leases a
+// guard from the Domain's guard runtime for the duration of the operation,
+// so any number of goroutines may call them. The Guarded variants take an
+// explicit or pinned Guard and skip the lease — use them in hot loops.
+type TurnQueue[T any] struct{ boxedQueue[T] }
+
+// NewTurnQueue creates an empty CRTurn queue on the Domain. It leases a
+// guard to allocate the sentinel node, parking briefly if all guards are
+// busy. The turn protocol's claim word holds at most 254 thread ids, so
+// the Domain must be configured with MaxGuards < 255 — set it explicitly
+// rather than inheriting the GOMAXPROCS default, which exceeds the limit
+// on very large machines; larger configurations panic here, at
+// construction.
+func NewTurnQueue[T any](d *Domain[T]) *TurnQueue[T] {
+	g := d.Pin()
+	defer d.Unpin(g)
+	return &TurnQueue[T]{boxedQueue[T]{d, crturn.NewTid(liveScheme[T]{d}, d.guards.Cap(), g.tid)}}
+}
+
+// tidQueue is the word queue a boxedQueue wraps: the internal wait-free
+// queues, driven by the caller's guard tid.
+type tidQueue interface {
+	Enqueue(tid int, v uint64)
+	Dequeue(tid int) (uint64, bool)
+	Len() int
+}
+
+// boxedQueue is the body WFQueue and TurnQueue share: each value travels
+// through the inner queue as the handle of a private box block.
+type boxedQueue[T any] struct {
+	d *Domain[T]
+	q tidQueue
 }
 
 // Enqueue appends v.
-func (q *WFQueue[T]) Enqueue(v T) {
+func (q *boxedQueue[T]) Enqueue(v T) {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	q.EnqueueGuarded(g, v)
 }
 
 // Dequeue removes and returns the oldest value; ok is false when empty.
-func (q *WFQueue[T]) Dequeue() (v T, ok bool) {
+func (q *boxedQueue[T]) Dequeue() (v T, ok bool) {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.DequeueGuarded(g)
 }
 
 // Len counts queued values; meaningful only quiescently.
-func (q *WFQueue[T]) Len() int {
+func (q *boxedQueue[T]) Len() int {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.LenGuarded(g)
@@ -64,14 +109,14 @@ func (q *WFQueue[T]) Len() int {
 // TryEnqueue is Enqueue with backpressure: when the arena stays
 // exhausted after the Domain's emergency-reclamation pipeline it returns
 // ErrArenaExhausted instead of panicking.
-func (q *WFQueue[T]) TryEnqueue(v T) error {
+func (q *boxedQueue[T]) TryEnqueue(v T) error {
 	g := q.d.Pin()
 	defer q.d.unpin(g)
 	return q.TryEnqueueGuarded(g, v)
 }
 
 // EnqueueGuarded is Enqueue on a caller-held guard.
-func (q *WFQueue[T]) EnqueueGuarded(g *Guard[T], v T) {
+func (q *boxedQueue[T]) EnqueueGuarded(g *Guard[T], v T) {
 	box := g.Alloc(v)
 	q.q.Enqueue(g.tid, box.handle())
 }
@@ -80,7 +125,7 @@ func (q *WFQueue[T]) EnqueueGuarded(g *Guard[T], v T) {
 // protocol allocates queue nodes internally; an exhaustion hit inside
 // that machinery is caught here, the value box is reclaimed, and the
 // queue is left unchanged.
-func (q *WFQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) (err error) {
+func (q *boxedQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) (err error) {
 	box, err := g.TryAlloc(v)
 	if err != nil {
 		return err
@@ -100,7 +145,7 @@ func (q *WFQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) (err error) {
 }
 
 // DequeueGuarded is Dequeue on a caller-held guard.
-func (q *WFQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
+func (q *boxedQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 	h, ok := q.q.Dequeue(g.tid)
 	if !ok {
 		return v, false
@@ -115,19 +160,19 @@ func (q *WFQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 }
 
 // EnqueueAll appends every value in slice order under one guard lease.
-// The helping protocol manages protection per operation internally, so
+// The queue protocol manages protection per operation internally, so
 // this batch amortizes the lease (and the per-op value-box allocation
 // stays as is); it panics when the arena stays exhausted after the
 // emergency-reclamation pipeline, with values already enqueued staying
 // enqueued (use TryEnqueueAll to observe partial progress).
-func (q *WFQueue[T]) EnqueueAll(vs []T) {
+func (q *boxedQueue[T]) EnqueueAll(vs []T) {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
 	q.EnqueueAllGuarded(g, vs)
 }
 
 // EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *WFQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
+func (q *boxedQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
 	if _, err := q.TryEnqueueAllGuarded(g, vs); err != nil {
 		panic(exhaustedPanic(q.d.arena.Capacity()))
 	}
@@ -136,14 +181,14 @@ func (q *WFQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
 // TryEnqueueAll is EnqueueAll with backpressure: on exhaustion mid-run
 // it stops, reporting the enqueued prefix length alongside
 // ErrArenaExhausted — callers resume from vs[enqueued:].
-func (q *WFQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
+func (q *boxedQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
 	return q.TryEnqueueAllGuarded(g, vs)
 }
 
 // TryEnqueueAllGuarded is TryEnqueueAll on a caller-held guard.
-func (q *WFQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
+func (q *boxedQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
 	enqueued = g.runLeaseBatch(len(vs), func(i int) bool {
 		err = q.TryEnqueueGuarded(g, vs[i])
 		return err == nil
@@ -153,14 +198,14 @@ func (q *WFQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, er
 
 // DequeueN removes up to n values under one guard lease, stopping early
 // when the queue empties. Values come back in FIFO order.
-func (q *WFQueue[T]) DequeueN(n int) []T {
+func (q *boxedQueue[T]) DequeueN(n int) []T {
 	g := q.d.pinBatch()
 	defer q.d.unpin(g)
 	return q.DequeueNGuarded(g, n)
 }
 
 // DequeueNGuarded is DequeueN on a caller-held guard.
-func (q *WFQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
+func (q *boxedQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
 	out := make([]T, 0, n)
 	g.runLeaseBatch(n, func(int) bool {
 		v, ok := q.DequeueGuarded(g)
@@ -173,4 +218,4 @@ func (q *WFQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
 }
 
 // LenGuarded is Len on a caller-held guard.
-func (q *WFQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
+func (q *boxedQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
