@@ -35,9 +35,10 @@ import (
 )
 
 // A Sample is one tick of a recorded trajectory: the Domain's cumulative
-// telemetry counters at that tick (wfe.Domain.Sample, or the matching
-// fields of a wfe-chaos/v1 tick). Cumulative fields must be monotone
-// across the slice; the kernel works on their deltas.
+// telemetry counters at that tick (wfe.Telemetry.AdvisorSample maps a
+// wfe.Domain.Telemetry snapshot or a wfe-chaos/v1 tick onto it).
+// Cumulative fields must be monotone across the slice; the kernel works on
+// their deltas.
 type Sample struct {
 	Tick        int    `json:"tick"`
 	Unreclaimed int    `json:"unreclaimed"` // retired-but-not-recycled backlog at this tick

@@ -1,7 +1,7 @@
 package wfe_test
 
-// Domain.Close lifecycle: the auto-started sampler goroutine must die
-// with the Domain instead of leaking, and Close must be idempotent and
+// Domain.Close lifecycle: the sampler goroutine StartSampler started must
+// die with the Domain instead of leaking, and Close must be idempotent and
 // safe on Domains that never started one.
 
 import (
@@ -34,13 +34,13 @@ func waitGoroutines(t *testing.T, want int) {
 
 func TestDomainCloseStopsSamplerGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 12, SampleEvery: time.Millisecond})
+	d, err := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.Sampler()
-	if s == nil || !s.Running() {
-		t.Fatal("SampleEvery did not auto-start a running sampler")
+	s := d.StartSampler(wfe.SamplerConfig{Interval: time.Millisecond})
+	if !s.Running() {
+		t.Fatal("StartSampler did not start a running sampler")
 	}
 	// Let it actually sample before teardown.
 	deadline := time.Now().Add(2 * time.Second)
@@ -73,8 +73,34 @@ func TestDomainCloseWithoutSampler(t *testing.T) {
 	}
 }
 
+// TestAutoSwitchRequiresSampleEvery pins the rule that replaced the
+// Options sampler knobs: a Domain runs no sampler goroutine and never
+// switches schemes on its own until StartSampler is called, and only a
+// sampler started with AutoSwitch arms the trigger.
 func TestAutoSwitchRequiresSampleEvery(t *testing.T) {
-	if _, err := wfe.NewDomain[int](wfe.Options{Capacity: 1 << 12, AutoSwitch: true}); err == nil {
-		t.Fatal("AutoSwitch without SampleEvery must be a configuration error")
+	before := runtime.NumGoroutine()
+	d, err := wfe.NewDomain[int](wfe.Options{Scheme: wfe.EBR, Capacity: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if s := d.Sampler(); s != nil {
+		t.Fatal("NewDomain started a sampler before StartSampler was called")
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewDomain left %d goroutine(s) running, want none", n-before)
+	}
+	st := wfe.NewStack[int](d)
+	for i := 0; i < 1000; i++ {
+		st.Push(i)
+		st.Pop()
+	}
+	if d.Scheme() != wfe.EBR || d.Telemetry().SchemeSwitches != 0 {
+		t.Fatalf("Domain switched to %v (%d switches) with no sampler running",
+			d.Scheme(), d.Telemetry().SchemeSwitches)
+	}
+	s := d.StartSampler(wfe.SamplerConfig{Interval: time.Millisecond, AutoSwitch: true})
+	if !s.Running() || d.Sampler() != s {
+		t.Fatal("StartSampler did not install a running sampler")
 	}
 }

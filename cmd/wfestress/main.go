@@ -62,12 +62,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wfe"
-	"wfe/advisor"
 	"wfe/internal/bench"
 	"wfe/internal/chaos"
 	"wfe/internal/failpoint"
@@ -182,12 +182,9 @@ func main() {
 }
 
 // chaosMatrix runs the canned chaos scenarios over the selected schemes
-// (every scheme for "all"), asserting the same robustness matrix as the
-// chaos tests: bounded schemes under their ceilings, the exempt schemes
-// (Leak; EBR under a stalled reader) visibly past the floor, a clean
-// post-run quiesce everywhere, and the advisor's expected recommendation
-// on each scenario's EBR trajectory. With dir set, each trajectory is
-// written to <dir>/<scenario>-<scheme>.json for artifact upload. A
+// (every scheme for "all") and judges each trajectory with the same
+// chaos.Canned.Verdict the chaos tests use. With dir set, each trajectory
+// is written to <dir>/<scenario>-<scheme>.json for artifact upload. A
 // non-empty scenario restricts the matrix to that one catalog entry.
 func chaosMatrix(scheme, scenario, dir string) error {
 	kinds := wfe.AllSchemes()
@@ -224,31 +221,13 @@ func chaosMatrix(scheme, scenario, dir string) error {
 				return err
 			}
 			verdict := "ok"
-			complain := func(format string, args ...any) {
-				verdict = fmt.Sprintf(format, args...)
+			if bad := c.Verdict(kind, tr); len(bad) > 0 {
+				verdict = strings.Join(bad, "; ")
 				failed = true
 			}
-			ceiling := c.Ceiling(kind)
-			switch {
-			case tr.Summary.Quiesce != "":
-				complain("quiesce: %s", tr.Summary.Quiesce)
-			case ceiling > 0 && tr.Summary.UnreclaimedMax > ceiling:
-				complain("highwater %d exceeds ceiling %d", tr.Summary.UnreclaimedMax, ceiling)
-			case ceiling == 0 && (kind == wfe.EBR || (kind == wfe.Leak && tr.Summary.Deterministic)) &&
-				tr.Summary.UnreclaimedMax <= c.UnboundedFloor:
-				complain("expected growth past %d, saw %d", c.UnboundedFloor, tr.Summary.UnreclaimedMax)
-			}
-			advice := ""
-			if kind == wfe.EBR && c.WantAdvice != "" {
-				rec := advisor.Advise(tr.Samples())
-				advice = fmt.Sprintf("  advise=%s", rec.Scheme)
-				if rec.Scheme != c.WantAdvice {
-					complain("advisor said %s, want %s", rec.Scheme, c.WantAdvice)
-				}
-			}
-			fmt.Printf("chaos %-17s %-8s highwater=%6d final=%5d parks=%6d %s%s\n",
+			fmt.Printf("chaos %-17s %-8s highwater=%6d final=%5d parks=%6d %s\n",
 				c.Name, kind, tr.Summary.UnreclaimedMax, tr.Summary.UnreclaimedFinal,
-				tr.Summary.Parks, verdict, advice)
+				tr.Summary.Parks, verdict)
 			if dir != "" {
 				blob, err := json.MarshalIndent(tr, "", " ")
 				if err != nil {
@@ -281,12 +260,12 @@ type switchHop struct {
 // sampler's telemetry rows across the whole storm, enough for offline
 // tools to plot backlog and scan behaviour around every swap.
 type switchTrajectory struct {
-	Format   string                `json:"format"`
-	Threads  int                   `json:"threads"`
-	Duration string                `json:"duration"`
-	Hops     []switchHop           `json:"hops"`
-	Samples  []wfe.TelemetrySample `json:"samples"`
-	Final    wfe.Telemetry         `json:"final"`
+	Format   string          `json:"format"`
+	Threads  int             `json:"threads"`
+	Duration string          `json:"duration"`
+	Hops     []switchHop     `json:"hops"`
+	Samples  []wfe.Telemetry `json:"samples"`
+	Final    wfe.Telemetry   `json:"final"`
 }
 
 // switchStorm cycles one Domain through every scheme via Domain.Switch

@@ -159,31 +159,9 @@ type Options struct {
 	// buffers recording guard, retire, scan, era and arena-segment events)
 	// and enables it from birth. Without it the trace façade reports
 	// disabled and SetTraceEnabled(true) returns false — the rings are
-	// only paid for when asked (about 40KiB per guard at DefaultDepth).
+	// only paid for when asked (about 40KiB per guard: each ring keeps the
+	// most recent 1024 records, overwritten in place).
 	Trace bool
-	// TraceDepth is the per-ring record capacity, rounded up to a power of
-	// two (default trace.DefaultDepth = 1024). Older records are
-	// overwritten in place; writers never block or allocate.
-	TraceDepth int
-	// SampleEvery, when positive, auto-starts the Domain's background
-	// Sampler at that tick (see StartSampler). Stop it with Domain.Close
-	// (or Domain.Sampler().Stop()) before teardown.
-	SampleEvery time.Duration
-	// AutoSwitch arms the adaptive runtime: the auto-started Sampler calls
-	// Domain.SwitchWithin whenever the live advisor recommendation has
-	// named the same non-current scheme for AutoSwitchAfter consecutive
-	// ticks. It requires SampleEvery (the sampler is the trigger source).
-	// The switch runs on the sampler goroutine and briefly gates guard
-	// acquisition with a bounded drain wait: explicit Guards held across
-	// sampler ticks make the attempt abort (and retry on a later streak)
-	// instead of stalling the Domain. See Switch for the drain-and-swap
-	// semantics.
-	AutoSwitch bool
-	// AutoSwitchAfter is the hysteresis depth: consecutive identical
-	// verdicts required before AutoSwitch acts (default 3). A flapping
-	// advisor — alternating recommendations tick over tick — never
-	// accumulates a streak, so it can never thrash the Domain.
-	AutoSwitchAfter int
 	// AllocRetries is how many backoff-then-rescan rounds an allocation
 	// that found the arena exhausted runs before giving up (default 16).
 	// Every round ticks the scheme's era clock, scans the allocating
@@ -274,15 +252,13 @@ type Domain[T any] struct {
 	schemeSwitches atomic.Uint64
 
 	// Allocation-backpressure state: the resolved retry knobs and the
-	// pressure gauges Pressure() reports. allocStalls counts allocations
-	// that found the arena exhausted, emergencyScans the out-of-cadence
-	// scans they triggered, lastResolve the nanoseconds the most recent
-	// resolved stall spent inside the pipeline.
+	// counters Telemetry reports. allocStalls counts allocations that found
+	// the arena exhausted, emergencyScans the out-of-cadence scans they
+	// triggered.
 	allocRetries   int
 	allocBackoff   time.Duration
 	allocStalls    atomic.Uint64
 	emergencyScans atomic.Uint64
-	lastResolve    atomic.Int64
 }
 
 // schemeBox pairs a scheme with its kind so both swap atomically.
@@ -375,16 +351,11 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 		{"MaxAttempts", opts.MaxAttempts},
 		{"SpillSize", opts.SpillSize},
 		{"SortCutoff", opts.SortCutoff},
-		{"TraceDepth", opts.TraceDepth},
-		{"AutoSwitchAfter", opts.AutoSwitchAfter},
 		{"AllocRetries", opts.AllocRetries},
 	} {
 		if tune.v < 0 {
 			return nil, fmt.Errorf("wfe: %s %d must be non-negative (0 selects the default)", tune.name, tune.v)
 		}
-	}
-	if opts.SampleEvery < 0 {
-		return nil, fmt.Errorf("wfe: SampleEvery %v must be non-negative (0 disables the auto-started sampler)", opts.SampleEvery)
 	}
 	if opts.AllocBackoff < 0 {
 		return nil, fmt.Errorf("wfe: AllocBackoff %v must be non-negative (0 selects the default)", opts.AllocBackoff)
@@ -395,15 +366,12 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 	if opts.AllocBackoff == 0 {
 		opts.AllocBackoff = 50 * time.Microsecond
 	}
-	if opts.AutoSwitch && opts.SampleEvery == 0 {
-		return nil, fmt.Errorf("wfe: AutoSwitch requires SampleEvery (the background sampler is its trigger source)")
-	}
 	// The rings cost real memory (~40KiB per guard at the default depth),
 	// so they exist only on request — benchmark sweeps construct hundreds
 	// of Domains and must not pay for tracing they never enable.
 	var tracer *trace.Tracer
 	if opts.Trace {
-		tracer = trace.New(opts.MaxGuards, opts.TraceDepth)
+		tracer = trace.New(opts.MaxGuards, trace.DefaultDepth)
 		tracer.SetEnabled(true)
 	}
 	arena := mem.New(mem.Config{
@@ -439,13 +407,6 @@ func NewDomain[T any](opts Options) (*Domain[T], error) {
 	}
 	d.smr.Store(&schemeBox{s: smr, kind: opts.Scheme})
 	d.guards.SetTracer(tracer)
-	if opts.SampleEvery > 0 {
-		d.StartSampler(SamplerConfig{
-			Interval:        opts.SampleEvery,
-			AutoSwitch:      opts.AutoSwitch,
-			AutoSwitchAfter: opts.AutoSwitchAfter,
-		})
-	}
 	// Drop a block's value the moment it is recycled: no reader can hold a
 	// freed block (that is the reclamation invariant), and without this a
 	// drained structure would pin up to Capacity dead payloads for the GC.
@@ -753,7 +714,6 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	}
 	d.arena.AddWaiter(1)
 	defer d.arena.AddWaiter(-1)
-	start := time.Now()
 	backoff := d.allocBackoff
 	ceil := 100 * d.allocBackoff
 	for round := 0; ; round++ {
@@ -763,7 +723,6 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 		rt.Scan(tid)
 		d.emergencyScans.Add(1)
 		if h, ok := box.s.TryAlloc(tid); ok {
-			d.lastResolve.Store(int64(time.Since(start)))
 			return h, nil
 		}
 		if round >= d.allocRetries {
@@ -776,44 +735,6 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 				backoff = ceil
 			}
 		}
-	}
-}
-
-// Pressure is the Domain's allocation-backpressure gauge: how full the
-// arena is and what the emergency-reclamation pipeline has had to do
-// about it. Live/Capacity is the instantaneous occupancy (Ratio derives
-// the fraction); AllocStalls counts allocations that found the arena
-// exhausted, EmergencyScans the out-of-cadence scans they forced, and
-// LastResolve how long the most recent resolved stall spent inside the
-// pipeline. A Domain that never sees pressure reports zeros everywhere
-// but Live/Capacity.
-type Pressure struct {
-	Live           int           // blocks currently allocated (live or retired)
-	Capacity       int           // arena size in blocks
-	AllocStalls    uint64        // allocations that entered the emergency pipeline
-	EmergencyScans uint64        // out-of-cadence scans the pipeline ran
-	LastResolve    time.Duration // pipeline latency of the last resolved stall
-}
-
-// Ratio returns Live/Capacity, the occupancy fraction the advisor's
-// exhaustion-pressure signature watches (0 when Capacity is 0).
-func (p Pressure) Ratio() float64 {
-	if p.Capacity == 0 {
-		return 0
-	}
-	return float64(p.Live) / float64(p.Capacity)
-}
-
-// Pressure samples the allocation-backpressure gauge. Approximate under
-// concurrency, like Telemetry.
-func (d *Domain[T]) Pressure() Pressure {
-	st := d.arena.Stats()
-	return Pressure{
-		Live:           int(st.InUse),
-		Capacity:       d.arena.Capacity(),
-		AllocStalls:    d.allocStalls.Load(),
-		EmergencyScans: d.emergencyScans.Load(),
-		LastResolve:    time.Duration(d.lastResolve.Load()),
 	}
 }
 
@@ -854,46 +775,48 @@ func (d *Domain[T]) Scavenge() int {
 }
 
 // Telemetry is a point-in-time census of a Domain's reclamation machinery
-// and its guard runtime.
+// and its guard runtime, the Domain's one counter snapshot: metrics, the
+// Sampler and trajectory recorders all read it. Its JSON keys are stable;
+// wfe-chaos/v1 and wfe-switch/v1 rows are encoded with them.
 type Telemetry struct {
-	Scheme      string // scheme legend name
-	Era         uint64 // global era/epoch clock (0 for clock-less schemes)
-	SlowPaths   uint64 // protected reads that requested helping (WFE/WFEIBR)
-	MaxSteps    uint64 // worst protect-loop iteration count seen by any guard
-	P99Steps    uint64 // p99 protect-loop iteration count (every protecting scheme; sample quiescently)
-	Unreclaimed int    // retired blocks not yet recycled
-	Allocs      uint64 // total block allocations
-	Frees       uint64 // total blocks recycled
-	InUse       uint64 // Allocs - Frees
-	Capacity    int    // arena size in blocks
+	Scheme      string `json:"scheme"`             // scheme legend name
+	Era         uint64 `json:"era"`                // global era/epoch clock (0 for clock-less schemes)
+	SlowPaths   uint64 `json:"slow_paths"`         // protected reads that requested helping (WFE/WFEIBR)
+	MaxSteps    uint64 `json:"max_steps"`          // worst protect-loop iteration count seen by any guard
+	P99Steps    uint64 `json:"p99_steps"`          // p99 protect-loop iteration count (every protecting scheme; sample quiescently)
+	Unreclaimed int    `json:"unreclaimed"`        // retired blocks not yet recycled
+	Allocs      uint64 `json:"allocs"`             // total block allocations
+	Frees       uint64 `json:"frees"`              // total blocks recycled
+	InUse       uint64 `json:"in_use"`             // Allocs - Frees
+	Capacity    int    `json:"capacity,omitempty"` // arena size in blocks
 
 	// Cleanup-scan telemetry, uniform across every scheme via the shared
 	// retire-side runtime: how many retire-list scans ran, how many
 	// retired blocks they examined, and the nanoseconds they spent.
 	// Sample quiescently for exact values. The Leak baseline never scans,
 	// so its three counters stay zero.
-	ScanScans  uint64
-	ScanBlocks uint64
-	ScanNanos  uint64
+	ScanScans  uint64 `json:"scan_scans"`
+	ScanBlocks uint64 `json:"scan_blocks"`
+	ScanNanos  uint64 `json:"scan_nanos,omitempty"`
 
 	// Arena fast-path counters. SegPushes/SegPops count whole-segment
 	// transfers on the global free list (each moving Options.SpillSize
 	// blocks in one CAS); BumpHighwater is how many distinct blocks the
 	// bump allocator has ever handed out — the workload's true footprint,
 	// where InUse only shows the instantaneous one.
-	ArenaSegPushes     uint64
-	ArenaSegPops       uint64
-	ArenaBumpHighwater uint64
+	ArenaSegPushes     uint64 `json:"arena_seg_pushes"`
+	ArenaSegPops       uint64 `json:"arena_seg_pops"`
+	ArenaBumpHighwater uint64 `json:"arena_bump_highwater"`
 
 	// Guard-runtime counters. A healthy guardless workload shows
 	// GuardCacheHits ≫ GuardCacheMisses and GuardParks near zero; parks
 	// climbing means MaxGuards is undersized for the goroutine count.
-	MaxGuards        int    // configured guard count
-	GuardsFree       int    // tids available to the pool (quiescently exact)
-	GuardAcquires    uint64 // guards handed out by the pool, however satisfied
-	GuardParks       uint64 // times an acquirer parked waiting for a free guard
-	GuardCacheHits   uint64 // guards claimed out of the lease cache
-	GuardCacheMisses uint64 // Pin/guardless ops that had to hit the pool
+	MaxGuards        int    `json:"max_guards"`         // configured guard count
+	GuardsFree       int    `json:"guards_free"`        // tids available to the pool (quiescently exact)
+	GuardAcquires    uint64 `json:"guard_acquires"`     // guards handed out by the pool, however satisfied
+	GuardParks       uint64 `json:"guard_parks"`        // times an acquirer parked waiting for a free guard
+	GuardCacheHits   uint64 `json:"guard_cache_hits"`   // guards claimed out of the lease cache
+	GuardCacheMisses uint64 `json:"guard_cache_misses"` // Pin/guardless ops that had to hit the pool
 
 	// Batched-operation counters (MultiGet, PushAll, DequeueN, ...):
 	// BatchOps counts completed batches, BatchedItems the operations they
@@ -901,20 +824,20 @@ type Telemetry struct {
 	// BatchGuardCacheHits/Misses split out the lease-cache traffic of the
 	// guardless batch entry points — with one lease per burst, hits should
 	// track BatchOps, not BatchedItems.
-	BatchOps              uint64
-	BatchedItems          uint64
-	BatchGuardCacheHits   uint64
-	BatchGuardCacheMisses uint64
+	BatchOps              uint64 `json:"batch_ops,omitempty"`
+	BatchedItems          uint64 `json:"batched_items,omitempty"`
+	BatchGuardCacheHits   uint64 `json:"batch_guard_cache_hits"`
+	BatchGuardCacheMisses uint64 `json:"batch_guard_cache_misses"`
 
 	// SchemeSwitches counts live scheme swaps completed by Domain.Switch
 	// over the Domain's lifetime.
-	SchemeSwitches uint64
+	SchemeSwitches uint64 `json:"scheme_switches"`
 
-	// Allocation-backpressure counters (see Domain.Pressure): allocations
-	// that found the arena exhausted, and the out-of-cadence emergency
-	// scans they forced. Zero on a Domain that never ran out of blocks.
-	AllocStalls    uint64
-	EmergencyScans uint64
+	// Allocation-backpressure counters: allocations that found the arena
+	// exhausted, and the out-of-cadence emergency scans they forced. Zero
+	// on a Domain that never ran out of blocks.
+	AllocStalls    uint64 `json:"alloc_stalls"`
+	EmergencyScans uint64 `json:"emergency_scans,omitempty"`
 }
 
 // Telemetry samples the Domain's counters. The snapshot is approximate
@@ -980,63 +903,6 @@ func (d *Domain[T]) Telemetry() Telemetry {
 	return t
 }
 
-// A TelemetrySample is the compact per-tick subset of Telemetry a
-// trajectory recorder collects at high frequency: the reclamation backlog,
-// the cumulative scan and step telemetry, the allocation counters and the
-// guard-park count — exactly the signals the advisor package's decision
-// kernel consumes. Where Telemetry is a wide point-in-time census for
-// humans, a TelemetrySample is one row of a time series: sample it every
-// tick, feed the rows to advisor.Advise (via the internal/chaos harness or
-// your own recorder), and the stall/backlog profile of the schedule falls
-// out of the deltas between rows.
-type TelemetrySample struct {
-	Unreclaimed int    `json:"unreclaimed"` // retired blocks not yet recycled
-	ScanScans   uint64 `json:"scan_scans"`  // cumulative cleanup scans
-	ScanBlocks  uint64 `json:"scan_blocks"` // cumulative retired blocks examined
-	MaxSteps    uint64 `json:"max_steps"`   // worst GetProtected step count so far
-	P99Steps    uint64 `json:"p99_steps"`   // p99 GetProtected step count so far
-	Allocs      uint64 `json:"allocs"`      // cumulative block allocations
-	Frees       uint64 `json:"frees"`       // cumulative blocks recycled
-	InUse       uint64 `json:"in_use"`      // Allocs - Frees
-	GuardParks  uint64 `json:"guard_parks"` // cumulative parked guard acquisitions
-
-	// Backpressure columns (omitted from JSON when zero, so trajectories
-	// recorded before the emergency pipeline existed stay byte-identical).
-	Capacity       int    `json:"capacity,omitempty"`        // arena size in blocks
-	EmergencyScans uint64 `json:"emergency_scans,omitempty"` // cumulative out-of-cadence scans
-
-	// Batch columns (omitted when zero for the same reason: pre-batch
-	// trajectories stay byte-identical).
-	BatchOps     uint64 `json:"batch_ops,omitempty"`     // cumulative completed batches
-	BatchedItems uint64 `json:"batched_items,omitempty"` // cumulative items those batches carried
-}
-
-// Sample collects one TelemetrySample in a single pass over the retire
-// runtime's per-thread state (reclaim.Retirer.Probe, the tick-sampling
-// hook) plus the arena and guard-pool counters. Approximate under
-// concurrency like Telemetry; cheap enough to call every scheduler tick.
-func (d *Domain[T]) Sample() TelemetrySample {
-	probe := d.scheme().s.Retirer().Probe()
-	st := d.arena.Stats()
-	return TelemetrySample{
-		Unreclaimed: probe.Unreclaimed,
-		ScanScans:   probe.Scans.Scans,
-		ScanBlocks:  probe.Scans.Blocks,
-		MaxSteps:    probe.MaxSteps,
-		P99Steps:    probe.P99Steps,
-		Allocs:      st.Allocs,
-		Frees:       st.Frees,
-		InUse:       st.InUse,
-		GuardParks:  d.guards.Stats().Parks,
-
-		Capacity:       d.arena.Capacity(),
-		EmergencyScans: d.emergencyScans.Load(),
-
-		BatchOps:     d.batchOps.Load(),
-		BatchedItems: d.batchItems.Load(),
-	}
-}
-
 // ArenaCensus is a quiescent-only accounting snapshot of the Domain's
 // block arena: every block is in exactly one of the four places, so
 // Cached+Global+Live+BumpFree always equals Capacity on a quiescent
@@ -1100,8 +966,8 @@ func (d *Domain[T]) SetTraceEnabled(on bool) bool {
 
 // TraceEvents snapshots the tracer's ring buffers without stopping
 // writers, returning the retained events in timestamp order (nil without
-// Options.Trace). Each ring keeps the most recent TraceDepth records per
-// guard; older events have been overwritten.
+// Options.Trace). Each ring keeps the most recent 1024 records per guard;
+// older events have been overwritten.
 func (d *Domain[T]) TraceEvents() []TraceEvent {
 	if d.tracer == nil {
 		return nil
@@ -1127,19 +993,20 @@ func (d *Domain[T]) WriteTrace(w io.Writer) error {
 }
 
 // StartSampler starts the Domain's background Sampler, the streaming tier
-// of its observability: a goroutine collecting Sample rows at cfg.Interval
-// into a bounded history, deriving rate EWMAs, and keeping a live
-// advisor recommendation current (see Sampler). At most one sampler runs
-// per Domain: while one is running, StartSampler returns it untouched
-// (idempotent); after Stop, a new call starts a fresh one. Stop the
-// sampler before letting the Domain go out of scope or its goroutine —
+// of its observability: a goroutine collecting Telemetry rows at
+// cfg.Interval into a bounded history, deriving rate EWMAs, and keeping a
+// live advisor recommendation current (see Sampler). A new Domain runs no
+// sampler until this is called. At most one sampler runs per Domain: while
+// one is running, StartSampler returns it untouched (idempotent); after
+// Stop, a new call starts a fresh one. Stop the sampler (or Close the
+// Domain) before letting the Domain go out of scope, or its goroutine —
 // and the Domain it samples — stay live forever.
 func (d *Domain[T]) StartSampler(cfg SamplerConfig) *Sampler {
 	for {
 		if cur := d.sampler.Load(); cur != nil && cur.Running() {
 			return cur
 		} else {
-			s := newSampler(d.Sample, cfg)
+			s := newSampler(d.Telemetry, cfg)
 			if cfg.AutoSwitch {
 				// Wired here, not in newSampler: the sampler is generic
 				// over its sample source, and only the Domain knows how to
@@ -1172,21 +1039,16 @@ func (d *Domain[T]) StartSampler(cfg SamplerConfig) *Sampler {
 }
 
 // Sampler returns the Domain's most recently started Sampler, or nil if
-// StartSampler (or Options.SampleEvery) never ran. The returned sampler
+// StartSampler never ran. The returned sampler
 // may already be stopped; check Running.
 func (d *Domain[T]) Sampler() *Sampler { return d.sampler.Load() }
 
 // Close stops the Domain's background machinery — today that is the
-// Sampler, whether auto-started by Options.SampleEvery or explicitly by
-// StartSampler. It is idempotent and safe to defer at construction:
-//
-//	d, _ := wfe.NewDomain[int](wfe.Options{SampleEvery: time.Millisecond})
-//	defer d.Close()
-//
-// Close does not wait for outstanding Guards; releasing those is still the
-// caller's job. A closed Domain remains usable for data-structure
-// operations (only the sampler is gone), but callers should treat Close as
-// teardown.
+// Sampler StartSampler started. It is idempotent and safe to defer at
+// construction. Close does not wait for outstanding Guards; releasing
+// those is still the caller's job. A closed Domain remains usable for
+// data-structure operations (only the sampler is gone), but callers
+// should treat Close as teardown.
 func (d *Domain[T]) Close() error {
 	if s := d.sampler.Load(); s != nil {
 		s.Stop()

@@ -51,7 +51,7 @@ func ExampleDomain() {
 }
 
 // ExampleDomain_StartSampler runs the background observability sampler:
-// one goroutine collecting the allocation-free Domain.Sample row every
+// one goroutine collecting the allocation-free Domain.Telemetry row every
 // Interval, deriving EWMA rates and streaming the rows through the live
 // scheme advisor. Production code would set SamplerConfig.OnRecommendation
 // (or poll Rates) instead of sleeping.
@@ -65,6 +65,7 @@ func ExampleDomain_StartSampler() {
 	// Churn concurrently so the sampler's ticks see allocation deltas.
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	started := make(chan struct{})
 	go func() {
 		defer close(done)
 		st := wfe.NewStack[uint64](d)
@@ -76,9 +77,14 @@ func ExampleDomain_StartSampler() {
 				st.Push(i)
 				st.Pop()
 			}
+			if i == 0 {
+				close(started)
+			}
 		}
 	}()
-	for s.Ticks() < 5 { // let a few rows accumulate
+	// Let a few rows accumulate, counted from when the churn is allocating.
+	<-started
+	for first := s.Ticks(); s.Ticks() < first+5; {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
@@ -103,8 +109,8 @@ func ExampleDomain_StartSampler() {
 // acquisitions, waits for in-flight guards, drains the outgoing scheme's
 // retired backlog, and installs the new scheme over the same arena.
 // Values stored before the switch survive it — only the reclamation
-// algorithm changed. Options.AutoSwitch wires the streaming advisor to
-// this call for hands-off operation.
+// algorithm changed. StartSampler with SamplerConfig.AutoSwitch wires the
+// streaming advisor to this call for hands-off operation.
 func ExampleDomain_Switch() {
 	d, err := wfe.NewDomain[string](wfe.Options{
 		Scheme:   wfe.EBR, // cheap while readers never stall

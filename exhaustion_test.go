@@ -102,8 +102,7 @@ func TestExhaustionStormAllSchemes(t *testing.T) {
 			if n := surfaced.Load(); n != 0 {
 				t.Errorf("%d operation(s) surfaced ErrArenaExhausted despite emergency reclamation", n)
 			}
-			pr := d.Pressure()
-			if pr.EmergencyScans == 0 {
+			if d.Telemetry().EmergencyScans == 0 {
 				t.Error("storm never entered the emergency pipeline — arena not undersized for the workload")
 			}
 			for key := uint64(0); key < keyRange; key++ {
@@ -254,8 +253,9 @@ func TestPanicVariantsWrapSentinel(t *testing.T) {
 }
 
 // TestPressureGaugeAndMetrics drives a Domain into sustained pressure and
-// follows the gauge end to end: Pressure(), Telemetry, and the
-// OpenMetrics exposition with its two new families.
+// follows the backpressure counters end to end: Telemetry, the advisor
+// sample's InUse/Capacity occupancy, and the OpenMetrics exposition's
+// pressure families.
 func TestPressureGaugeAndMetrics(t *testing.T) {
 	d := smallDomain(t, wfe.WFE, 256)
 	s := wfe.NewStack[uint64](d)
@@ -274,16 +274,16 @@ func TestPressureGaugeAndMetrics(t *testing.T) {
 			break
 		}
 	}
-	pr := d.Pressure()
-	if pr.AllocStalls == 0 || pr.EmergencyScans == 0 {
-		t.Fatalf("pressure gauge empty after an exhausted fill: %+v", pr)
-	}
-	if pr.Ratio() < 0.5 {
-		t.Fatalf("occupancy ratio %.2f implausibly low for a filled arena", pr.Ratio())
-	}
 	tel := d.Telemetry()
-	if tel.AllocStalls != pr.AllocStalls || tel.EmergencyScans == 0 {
-		t.Fatalf("Telemetry backpressure counters diverge from Pressure: %+v vs %+v", tel, pr)
+	if tel.AllocStalls == 0 || tel.EmergencyScans == 0 {
+		t.Fatalf("backpressure counters empty after an exhausted fill: %+v", tel)
+	}
+	occupancy := float64(tel.InUse) / float64(tel.Capacity)
+	if occupancy < 0.5 {
+		t.Fatalf("occupancy %.2f implausibly low for a filled arena", occupancy)
+	}
+	if got := tel.AdvisorSample(0).Pressure; got != occupancy {
+		t.Fatalf("advisor sample pressure %.4f, want InUse/Capacity %.4f", got, occupancy)
 	}
 
 	reg := metrics.NewRegistry()

@@ -124,23 +124,22 @@ func TestFailpointAllocStallDuringSwitchDrain(t *testing.T) {
 // TestFailpointCloseUnderPressureReapsSampler closes a Domain whose
 // arena is exhausted and whose emergency pipeline has been running: the
 // background sampler must still be reaped, Close must stay idempotent,
-// and the pressure gauge must stay readable afterwards.
+// and the backpressure counters must stay readable afterwards.
 func TestFailpointCloseUnderPressureReapsSampler(t *testing.T) {
 	t.Cleanup(failpoint.DisarmAll)
 	d, err := wfe.NewDomain[uint64](wfe.Options{
 		Scheme:       wfe.WFE,
 		Capacity:     96,
 		MaxGuards:    4,
-		SampleEvery:  time.Millisecond,
 		AllocRetries: 2,
 		AllocBackoff: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.Sampler()
-	if s == nil || !s.Running() {
-		t.Fatal("SampleEvery did not auto-start a running sampler")
+	s := d.StartSampler(wfe.SamplerConfig{Interval: time.Millisecond})
+	if !s.Running() {
+		t.Fatal("StartSampler did not start a running sampler")
 	}
 	// Exhaust the arena with live nodes so the pipeline runs and fails
 	// honestly — the Domain is now under sustained pressure.
@@ -150,7 +149,7 @@ func TestFailpointCloseUnderPressureReapsSampler(t *testing.T) {
 			break
 		}
 	}
-	if pr := d.Pressure(); pr.AllocStalls == 0 {
+	if d.Telemetry().AllocStalls == 0 {
 		t.Fatal("fill never stalled: arena not undersized")
 	}
 	// Let the sampler observe the pressured domain.
@@ -167,8 +166,8 @@ func TestFailpointCloseUnderPressureReapsSampler(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if pr := d.Pressure(); pr.AllocStalls == 0 {
-		t.Error("pressure gauge unreadable after Close")
+	if d.Telemetry().AllocStalls == 0 {
+		t.Error("backpressure counters unreadable after Close")
 	}
 }
 
@@ -202,13 +201,13 @@ func TestFailpointRefillMissEntersPipeline(t *testing.T) {
 			break
 		}
 	}
-	base := d.Pressure().AllocStalls
+	base := d.Telemetry().AllocStalls
 	site.Arm(failpoint.Trigger{EveryNth: 1, OneShot: true, Err: errors.New("injected refill miss")})
 	for i := 0; i < 2048; i++ {
 		if err := s.TryPush(uint64(i)); err != nil {
 			t.Fatalf("TryPush with an injected refill miss surfaced %v", err)
 		}
-		if d.Pressure().AllocStalls > base {
+		if d.Telemetry().AllocStalls > base {
 			return // the miss routed through the pipeline and resolved
 		}
 	}

@@ -2,9 +2,9 @@
 // structures across the reclamation schemes under the hostile schedules
 // the paper's robustness argument is about — a reader stalled while
 // holding a guard, a writer preempted with its retire ring undrained, an
-// oversubscription storm with goroutines ≫ GOMAXPROCS ≫ guards, and
-// bursty churn punctuated by stall spikes — and records the per-tick
-// telemetry trajectory each scheme produces under them.
+// oversubscription storm with goroutines ≫ guards, and bursty churn
+// punctuated by stall spikes — and records the per-tick telemetry
+// trajectory each scheme produces under them.
 //
 // The engine's job is to make the paper's Table 1 distinction observable
 // and assertable: under a stalled reader, epoch-based reclamation's
@@ -148,7 +148,7 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.MaxGuards == 0 {
 		if s.Goroutines > 0 {
-			s.MaxGuards = 2
+			s.MaxGuards = 1 // see Oversubscription: one operation in flight
 		} else {
 			s.MaxGuards = s.Workers
 		}
@@ -166,11 +166,20 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // A TickSample is the Domain's cumulative telemetry at the end of one
-// tick, plus whether any injected stall was active during it.
+// tick, plus whether any injected stall was active during it. ScanNanos
+// is dropped: it is wall-clock time, and a trajectory must reproduce
+// from its seed.
 type TickSample struct {
 	Tick    int  `json:"tick"`
 	Stalled bool `json:"stalled"`
-	wfe.TelemetrySample
+	wfe.Telemetry
+}
+
+// sample takes the tick's telemetry row.
+func sample(d *wfe.Domain[uint64], tick int, stalled bool) TickSample {
+	tel := d.Telemetry()
+	tel.ScanNanos = 0
+	return TickSample{Tick: tick, Stalled: stalled, Telemetry: tel}
 }
 
 // A Summary is the trajectory's headline numbers, precomputed so matrix
@@ -212,20 +221,7 @@ type Trajectory struct {
 func (t *Trajectory) Samples() []advisor.Sample {
 	out := make([]advisor.Sample, len(t.Ticks))
 	for i, ts := range t.Ticks {
-		pressure := 0.0
-		if ts.Capacity > 0 {
-			pressure = float64(ts.InUse) / float64(ts.Capacity)
-		}
-		out[i] = advisor.Sample{
-			Tick:           ts.Tick,
-			Unreclaimed:    ts.Unreclaimed,
-			ScanScans:      ts.ScanScans,
-			ScanBlocks:     ts.ScanBlocks,
-			P99Steps:       ts.P99Steps,
-			GuardParks:     ts.GuardParks,
-			Pressure:       pressure,
-			EmergencyScans: ts.EmergencyScans,
-		}
+		out[i] = ts.AdvisorSample(ts.Tick)
 	}
 	return out
 }
@@ -378,12 +374,7 @@ func runSequential(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 				}
 			}
 		}
-		sample := d.Sample()
-		traj.Ticks = append(traj.Ticks, TickSample{
-			Tick:            tick,
-			Stalled:         stallsActive > 0,
-			TelemetrySample: sample,
-		})
+		traj.Ticks = append(traj.Ticks, sample(d, tick, stallsActive > 0))
 	}
 	// Lift any stall still open at the end, then drain the structure and
 	// the hot cell so the post-run settle can collapse the backlog.
@@ -486,10 +477,10 @@ func runOversubscribed(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 			// Sit on the whole pool until the storm visibly parks on it,
 			// the storm ends, or a yield budget runs out — parked workers
 			// must not be able to deadlock the run by never advancing done.
-			base := d.Sample().GuardParks
+			base := d.Telemetry().GuardParks
 			want := base + uint64(s.Goroutines)/4 + 1
 		hold:
-			for spin := 0; spin < 1<<14 && d.Sample().GuardParks < want; spin++ {
+			for spin := 0; spin < 1<<14 && d.Telemetry().GuardParks < want; spin++ {
 				select {
 				case <-finished:
 					break hold
@@ -514,10 +505,7 @@ func runOversubscribed(d *wfe.Domain[uint64], s Scenario, traj *Trajectory) {
 		case <-time.After(200 * time.Microsecond):
 		}
 		for tick < s.Ticks && (done.Load() >= uint64(tick+1)*step || !running) {
-			traj.Ticks = append(traj.Ticks, TickSample{
-				Tick:            tick,
-				TelemetrySample: d.Sample(),
-			})
+			traj.Ticks = append(traj.Ticks, sample(d, tick, false))
 			tick++
 		}
 	}
@@ -550,7 +538,7 @@ func summarize(d *wfe.Domain[uint64], kind wfe.SchemeKind, traj *Trajectory) {
 		traj.Summary.ScanBlocks = last.ScanBlocks
 		traj.Summary.Parks = last.GuardParks
 	}
-	pr := d.Pressure()
-	traj.Summary.AllocStalls = pr.AllocStalls
-	traj.Summary.EmergencyScans = pr.EmergencyScans
+	final := d.Telemetry()
+	traj.Summary.AllocStalls = final.AllocStalls
+	traj.Summary.EmergencyScans = final.EmergencyScans
 }

@@ -3,9 +3,11 @@ package chaos
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wfe"
+	"wfe/advisor"
 )
 
 // short is a fast stalled-reader scenario for the engine's unit tests;
@@ -171,5 +173,80 @@ func TestCatalogShape(t *testing.T) {
 		if !names[want] {
 			t.Errorf("catalog missing %q", want)
 		}
+	}
+}
+
+// legacyTick is one wfe-chaos/v1 tick as recorded before the tick rows
+// became the Domain's full Telemetry snapshot: only the per-tick columns,
+// under the keys trajectories were written with.
+const legacyTick = `{"tick":12,"stalled":true,"unreclaimed":37,"scan_scans":101,` +
+	`"scan_blocks":2020,"max_steps":5,"p99_steps":2,"allocs":5000,"frees":4800,` +
+	`"in_use":200,"guard_parks":7,"capacity":640,"emergency_scans":9,` +
+	`"batch_ops":4,"batched_items":128}`
+
+// TestLegacyTickDecodes pins JSON compatibility for recorded artifacts:
+// a tick written with the old keys decodes into TickSample with every
+// value intact, re-encodes under the same keys, and converts to the
+// advisor sample the old per-column conversion produced.
+func TestLegacyTickDecodes(t *testing.T) {
+	var ts TickSample
+	if err := json.Unmarshal([]byte(legacyTick), &ts); err != nil {
+		t.Fatal(err)
+	}
+	want := TickSample{Tick: 12, Stalled: true, Telemetry: wfe.Telemetry{
+		Unreclaimed: 37, ScanScans: 101, ScanBlocks: 2020, MaxSteps: 5, P99Steps: 2,
+		Allocs: 5000, Frees: 4800, InUse: 200, GuardParks: 7, Capacity: 640,
+		EmergencyScans: 9, BatchOps: 4, BatchedItems: 128,
+	}}
+	if ts != want {
+		t.Fatalf("legacy tick decoded as %+v, want %+v", ts, want)
+	}
+
+	blob, err := json.Marshal(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old, re map[string]any
+	if err := json.Unmarshal([]byte(legacyTick), &old); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &re); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range old {
+		if re[k] != v {
+			t.Errorf("key %q re-encoded as %v, recorded as %v", k, re[k], v)
+		}
+	}
+
+	tr := Trajectory{Ticks: []TickSample{ts}}
+	got := tr.Samples()
+	wantSample := advisor.Sample{
+		Tick: 12, Unreclaimed: 37, ScanScans: 101, ScanBlocks: 2020, P99Steps: 2,
+		GuardParks: 7, Pressure: 200.0 / 640, EmergencyScans: 9,
+	}
+	if len(got) != 1 || got[0] != wantSample {
+		t.Fatalf("Samples() = %+v, want [%+v]", got, wantSample)
+	}
+}
+
+// TestVerdictCatchesMissingPressure feeds the shared verdict a synthetic
+// exhaustion-storm trajectory that never entered the emergency pipeline:
+// it must report the violation, for the CLI as for the matrix test.
+func TestVerdictCatchesMissingPressure(t *testing.T) {
+	c := ExhaustionStorm()
+	tr := &Trajectory{
+		Schema:   Schema,
+		Scenario: c.Name,
+		Scheme:   wfe.WFE.String(),
+		Summary:  Summary{UnreclaimedMax: 10, Deterministic: true},
+	}
+	bad := c.Verdict(wfe.WFE, tr)
+	if len(bad) != 1 || !strings.Contains(bad[0], "emergency pipeline") {
+		t.Fatalf("Verdict = %q, want one emergency-pipeline violation", bad)
+	}
+	tr.Summary.EmergencyScans = 3
+	if bad := c.Verdict(wfe.WFE, tr); len(bad) != 0 {
+		t.Fatalf("Verdict on a healthy trajectory = %q, want none", bad)
 	}
 }

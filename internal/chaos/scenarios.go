@@ -1,6 +1,11 @@
 package chaos
 
-import "wfe"
+import (
+	"fmt"
+
+	"wfe"
+	"wfe/advisor"
+)
 
 // A Canned scenario bundles a Scenario with the assertions the robustness
 // matrix makes about it: the per-scheme backlog ceiling it must respect
@@ -26,6 +31,57 @@ type Canned struct {
 	// judge-less Leak baseline — which the pipeline cannot help — recorded
 	// failures instead of panicking.
 	WantPressure bool
+}
+
+// Verdict judges one scheme's trajectory of the scenario against the
+// robustness matrix (quiesce, Ceiling, UnboundedFloor, WantAdvice,
+// WantPressure) and returns every violation, none when it holds. The
+// matrix test and wfestress -chaos both judge through it.
+func (c Canned) Verdict(kind wfe.SchemeKind, tr *Trajectory) []string {
+	var bad []string
+	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+	sum := tr.Summary
+	if sum.Quiesce != "" {
+		fail("domain did not settle clean after the schedule: %s", sum.Quiesce)
+	}
+	switch ceiling := c.Ceiling(kind); {
+	case ceiling > 0:
+		if sum.UnreclaimedMax > ceiling {
+			fail("backlog highwater %d (tick %d) exceeds the bounded ceiling %d",
+				sum.UnreclaimedMax, sum.UnreclaimedMaxTick, ceiling)
+		}
+	case kind == wfe.EBR || (kind == wfe.Leak && sum.Deterministic):
+		// The exempt schemes must actually exhibit the growth the
+		// exemption predicts, or the scenario is too gentle to prove
+		// anything.
+		if sum.UnreclaimedMax <= c.UnboundedFloor {
+			fail("expected unbounded growth past %d, saw highwater %d — scenario too gentle",
+				c.UnboundedFloor, sum.UnreclaimedMax)
+		}
+	}
+	if kind == wfe.EBR && c.WantAdvice != "" {
+		if rec := advisor.Advise(tr.Samples()); rec.Scheme != c.WantAdvice {
+			fail("advisor on the EBR trajectory recommended %q, want %q (profile %+v)",
+				rec.Scheme, c.WantAdvice, rec.Profile)
+		}
+	}
+	if c.WantPressure {
+		if kind == wfe.Leak {
+			// The pipeline cannot help the judge-less baseline:
+			// exhaustion must surface as errors, not panics.
+			if sum.AllocFailures == 0 {
+				fail("expected surfaced alloc failures on the undersized arena, saw none")
+			}
+		} else {
+			if sum.EmergencyScans == 0 {
+				fail("scenario never entered the emergency pipeline — arena not undersized enough")
+			}
+			if sum.AllocFailures != 0 {
+				fail("%d allocation(s) surfaced ErrArenaExhausted despite emergency reclamation", sum.AllocFailures)
+			}
+		}
+	}
+	return bad
 }
 
 // Backlog ceilings, from the schemes' bounds rather than measurement:
@@ -152,13 +208,19 @@ func BurstyChurn() Canned {
 // Oversubscription storms the map with goroutines ≫ guards so guardless
 // acquisitions park; the concurrent engine runs it. Bounded memory for
 // every scheme, park pressure on every trajectory.
+//
+// The pool is one guard, so one operation is in flight at a time: a worker
+// descheduled mid-operation holds the only guard, and nobody retires
+// behind its reservation. With two, EBR's highwater depended on how long
+// the host kept that worker off a CPU — a stalled reader, which is the
+// stalled-reader scenario's subject; this one's is guard parking.
 func Oversubscription() Canned {
 	return Canned{
 		Scenario: Scenario{
 			Name:       "oversubscription",
 			Seed:       5,
 			Goroutines: 16,
-			MaxGuards:  2,
+			MaxGuards:  1,
 			Debug:      true,
 		},
 		Ceiling:        boundedCeiling,

@@ -245,7 +245,7 @@ const StepHistBuckets = 64
 // counts, the distribution behind the paper's bounded-steps claim (the
 // Max worst case is its tail, the BENCH_*.json p99 its body). Each thread
 // records into its own padded copy; counts are published with atomic
-// stores so trajectory samplers (Retirer.Probe, Domain.Sample) can Merge
+// stores so trajectory samplers (Retirer.Probe, Domain.Telemetry) can Merge
 // a live histogram concurrently and read an approximate-but-race-free
 // snapshot. Exact totals still require quiescence.
 type StepHist struct {

@@ -204,12 +204,7 @@ var families = []metric{
 	counter("wfe_batch_guard_cache_misses", "Batch entry points that missed the lease cache.",
 		func(t wfe.Telemetry) uint64 { return t.BatchGuardCacheMisses }),
 	telGauge("wfe_arena_pressure", "Arena occupancy fraction (in-use blocks over capacity).",
-		func(t wfe.Telemetry) float64 {
-			if t.Capacity == 0 {
-				return 0
-			}
-			return float64(t.InUse) / float64(t.Capacity)
-		}),
+		func(t wfe.Telemetry) float64 { return t.AdvisorSample(0).Pressure }),
 	counter("wfe_alloc_stalls", "Allocations that found the arena exhausted and entered the emergency-reclamation pipeline.",
 		func(t wfe.Telemetry) uint64 { return t.AllocStalls }),
 	counter("wfe_emergency_scans", "Out-of-cadence cleanup scans forced by allocation stalls.",
@@ -317,8 +312,9 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Vars is the JSON shape of the /vars endpoint: per-domain telemetry plus
-// the sampler's rates and recommendation when attached.
+// Vars is the JSON shape of the /vars endpoint: per-domain telemetry
+// (under wfe.Telemetry's snake_case JSON keys) plus the sampler's rates
+// and recommendation when attached.
 type Vars struct {
 	Domain         string            `json:"domain"`
 	Telemetry      wfe.Telemetry     `json:"telemetry"`

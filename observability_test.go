@@ -21,12 +21,12 @@ import (
 )
 
 // sampleSink defeats dead-store elimination in TestSampleAllocFree.
-var sampleSink wfe.TelemetrySample
+var sampleSink wfe.Telemetry
 
-// TestSampleAllocFree pins down the contract Sample's doc comment makes:
-// one row of the telemetry time series costs zero heap allocations, so a
-// recorder (or the background Sampler) can call it every scheduler tick
-// without disturbing the workload it is observing.
+// TestSampleAllocFree pins down the contract the background Sampler and
+// the chaos recorder rely on: one Telemetry snapshot costs zero heap
+// allocations, so a recorder can take one every scheduler tick without
+// disturbing the workload it is observing.
 func TestSampleAllocFree(t *testing.T) {
 	for _, kind := range wfe.AllSchemes() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -34,7 +34,7 @@ func TestSampleAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Dirty the counters first so Sample walks real state, not zeros.
+			// Dirty the counters first so Telemetry walks real state, not zeros.
 			s := wfe.NewStack[uint64](d)
 			for i := uint64(0); i < 256; i++ {
 				s.Push(i)
@@ -43,10 +43,10 @@ func TestSampleAllocFree(t *testing.T) {
 				s.Pop()
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				sampleSink = d.Sample()
+				sampleSink = d.Telemetry()
 			})
 			if allocs != 0 {
-				t.Fatalf("Domain.Sample allocated %.1f times per call; want 0", allocs)
+				t.Fatalf("Domain.Telemetry allocated %.1f times per call; want 0", allocs)
 			}
 		})
 	}

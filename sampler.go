@@ -12,7 +12,7 @@ import (
 type SamplerConfig struct {
 	// Interval is the sampling tick (default 10ms, minimum 1ms).
 	Interval time.Duration
-	// History bounds the ring of retained TelemetrySamples and the
+	// History bounds the ring of retained Telemetry rows and the
 	// advisor window (default 600 ticks — six seconds at the default
 	// tick).
 	History int
@@ -25,9 +25,7 @@ type SamplerConfig struct {
 	// AutoSwitchAfter consecutive ticks, the sampler calls the Domain's
 	// SwitchWithin (on the sampler goroutine) with a bounded drain wait,
 	// so guards held across ticks abort the switch (retried on the next
-	// streak) rather than gating the Domain indefinitely. Set by
-	// Options.AutoSwitch; it has no effect on a Sampler the Domain did
-	// not wire a switch hook into.
+	// streak) rather than gating the Domain indefinitely.
 	AutoSwitch bool
 	// AutoSwitchAfter is the hysteresis depth (default 3 when AutoSwitch
 	// is set). A streak resets whenever the recommendation returns to the
@@ -59,6 +57,26 @@ type SamplerRates struct {
 	BatchItemsPerSec float64 `json:"batch_items_per_sec"`
 }
 
+// AdvisorSample maps the snapshot onto the advisor's input for the given
+// tick. The arena occupancy column is InUse/Capacity, or 0 when Capacity
+// is unknown (trajectories recorded before the backpressure columns).
+func (t Telemetry) AdvisorSample(tick int) advisor.Sample {
+	pressure := 0.0
+	if t.Capacity > 0 {
+		pressure = float64(t.InUse) / float64(t.Capacity)
+	}
+	return advisor.Sample{
+		Tick:           tick,
+		Unreclaimed:    t.Unreclaimed,
+		ScanScans:      t.ScanScans,
+		ScanBlocks:     t.ScanBlocks,
+		P99Steps:       t.P99Steps,
+		GuardParks:     t.GuardParks,
+		Pressure:       pressure,
+		EmergencyScans: t.EmergencyScans,
+	}
+}
+
 // ewmaAlpha is the smoothing factor of every sampler rate.
 const ewmaAlpha = 0.2
 
@@ -70,13 +88,13 @@ const ewmaAlpha = 0.2
 const autoSwitchDrainBound = 50 * time.Millisecond
 
 // A Sampler is the streaming half of the observability runtime: a
-// background goroutine collecting Domain.Sample rows at a fixed tick into
-// a bounded ring history, deriving per-second rates, and feeding an
+// background goroutine collecting Domain.Telemetry rows at a fixed tick
+// into a bounded ring history, deriving per-second rates, and feeding an
 // advisor.Monitor so the live scheme recommendation is always one method
-// call away. Start one with Domain.StartSampler or Options.SampleEvery;
-// stop it with Stop (idempotent — so is starting, while one runs).
+// call away. Start one with Domain.StartSampler; stop it with Stop or
+// Domain.Close (idempotent — so is starting, while one runs).
 type Sampler struct {
-	sample   func() TelemetrySample
+	sample   func() Telemetry
 	interval time.Duration
 	history  int
 	onRec    func(advisor.Recommendation)
@@ -98,7 +116,7 @@ type Sampler struct {
 	// the history bound, then head marks the oldest entry and each tick
 	// overwrites in place — O(1) per tick where a slide would memmove the
 	// whole window.
-	hist   []TelemetrySample
+	hist   []Telemetry
 	head   int
 	n      int // total ticks collected
 	rates  SamplerRates
@@ -107,7 +125,7 @@ type Sampler struct {
 	rec    advisor.Recommendation
 	hasRec bool
 
-	prev     TelemetrySample
+	prev     Telemetry
 	prevTime time.Time
 
 	stop     chan struct{}
@@ -115,7 +133,7 @@ type Sampler struct {
 	stopOnce sync.Once
 }
 
-func newSampler(sample func() TelemetrySample, cfg SamplerConfig) *Sampler {
+func newSampler(sample func() Telemetry, cfg SamplerConfig) *Sampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Millisecond
 	}
@@ -213,20 +231,7 @@ func (s *Sampler) tick(now time.Time) {
 	s.rates.Backlog = row.Unreclaimed
 	s.prev, s.prevTime = row, now
 
-	pressure := 0.0
-	if row.Capacity > 0 {
-		pressure = float64(row.InUse) / float64(row.Capacity)
-	}
-	rec, changed := s.mon.Push(advisor.Sample{
-		Tick:           tickIdx,
-		Unreclaimed:    row.Unreclaimed,
-		ScanScans:      row.ScanScans,
-		ScanBlocks:     row.ScanBlocks,
-		P99Steps:       row.P99Steps,
-		GuardParks:     row.GuardParks,
-		Pressure:       pressure,
-		EmergencyScans: row.EmergencyScans,
-	})
+	rec, changed := s.mon.Push(row.AdvisorSample(tickIdx))
 	s.rec, s.hasRec = rec, true
 	cb := s.onRec
 	s.mu.Unlock()
@@ -281,10 +286,10 @@ func (s *Sampler) Ticks() int {
 // History returns a copy of the retained samples, oldest first. The
 // internal buffer is circular; the copy unrolls it, so callers never see
 // the wrap point.
-func (s *Sampler) History() []TelemetrySample {
+func (s *Sampler) History() []Telemetry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TelemetrySample, len(s.hist))
+	out := make([]Telemetry, len(s.hist))
 	n := copy(out, s.hist[s.head:])
 	copy(out[n:], s.hist[:s.head])
 	return out

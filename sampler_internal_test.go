@@ -15,11 +15,11 @@ import (
 // syntheticRows returns a sample source yielding rows with Allocs
 // counting up by step per call — enough signal to tell rows apart and to
 // derive an exact constant rate.
-func syntheticRows(step uint64) func() TelemetrySample {
+func syntheticRows(step uint64) func() Telemetry {
 	var n uint64
-	return func() TelemetrySample {
+	return func() Telemetry {
 		n += step
-		return TelemetrySample{Allocs: n, Frees: n, InUse: 0}
+		return Telemetry{Allocs: n, Frees: n, InUse: 0}
 	}
 }
 
@@ -80,7 +80,7 @@ func rec(scheme string) advisor.Recommendation {
 // switch hooks stubbed, recording every fired switch.
 func autoSampler(after int, current string) (*Sampler, *[]string) {
 	fired := &[]string{}
-	s := newSampler(func() TelemetrySample { return TelemetrySample{} },
+	s := newSampler(func() Telemetry { return Telemetry{} },
 		SamplerConfig{AutoSwitch: true, AutoSwitchAfter: after})
 	cur := current
 	s.current = func() string { return cur }
@@ -157,7 +157,7 @@ func TestAutoSwitchHysteresisResetOnCurrent(t *testing.T) {
 // without the Domain's switch hooks (or without AutoSwitch) never acts,
 // whatever the advisor says.
 func TestAutoSwitchDisabledWithoutHooks(t *testing.T) {
-	s := newSampler(func() TelemetrySample { return TelemetrySample{} }, SamplerConfig{})
+	s := newSampler(func() Telemetry { return Telemetry{} }, SamplerConfig{})
 	for i := 0; i < 10; i++ {
 		s.maybeSwitch(rec("WFE")) // must not panic on nil hooks
 	}
@@ -167,24 +167,20 @@ func TestAutoSwitchDisabledWithoutHooks(t *testing.T) {
 }
 
 // TestAutoSwitchWiringDrivesDomainSwitch pins the StartSampler wiring
-// end to end: a Domain built with AutoSwitch hands its sampler hooks
-// that really switch the scheme. The sampler goroutine is stopped first
-// so the hysteresis can be driven deterministically by hand.
+// end to end: a sampler started with AutoSwitch gets Domain hooks that
+// really switch the scheme. The sampler goroutine is stopped first so the
+// hysteresis can be driven deterministically by hand.
 func TestAutoSwitchWiringDrivesDomainSwitch(t *testing.T) {
-	d, err := NewDomain[int](Options{
-		Capacity:        1 << 12,
-		SampleEvery:     time.Hour, // auto-started but effectively inert
-		AutoSwitch:      true,
-		AutoSwitchAfter: 2,
-	})
+	d, err := NewDomain[int](Options{Capacity: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := d.Sampler()
-	if s == nil {
-		t.Fatal("SampleEvery did not auto-start a sampler")
-	}
+	s := d.StartSampler(SamplerConfig{
+		Interval:        time.Hour, // started but effectively inert
+		AutoSwitch:      true,
+		AutoSwitchAfter: 2,
+	})
 	s.Stop()
 	if s.switchTo == nil || s.current == nil {
 		t.Fatal("AutoSwitch did not wire the sampler's switch hooks")
