@@ -72,28 +72,27 @@ func BenchmarkBatch128(b *testing.B)   { batchChurn(b, wfe.WFE, 128) }
 // 1 within 1.1x of per-op cost. Timing ratios on shared runners are
 // noisy, so the guard takes the best (lowest ns/item) of several
 // attempts per side — a genuine regression slows every attempt; noise
-// does not speed one up.
+// does not speed one up. The attempts run round-robin (per-op, width 1,
+// width 32 in each round), so host drift over the run lands on all three
+// sides alike instead of on whichever side happened to run last.
 func TestBatchSpeedupGuard(t *testing.T) {
 	if os.Getenv("WFE_OVERHEAD_GUARD") != "1" {
 		t.Skip("set WFE_OVERHEAD_GUARD=1 to run the batch speedup guard")
 	}
 	const attempts = 4
-	best := func(kind wfe.SchemeKind, width int) float64 {
-		bestNs := 0.0
-		for i := 0; i < attempts; i++ {
-			r := testing.Benchmark(func(b *testing.B) { batchChurn(b, kind, width) })
-			ns := float64(r.NsPerOp())
-			if bestNs == 0 || ns < bestNs {
-				bestNs = ns
-			}
-		}
-		return bestNs
-	}
+	widths := [3]int{0, 1, 32} // per-op, batch1, batch32
 	for _, kind := range []wfe.SchemeKind{wfe.WFE, wfe.HE} {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			perOp := best(kind, 0)
-			b1 := best(kind, 1)
-			b32 := best(kind, 32)
+			var best [3]float64
+			for i := 0; i < attempts; i++ {
+				for j, width := range widths {
+					r := testing.Benchmark(func(b *testing.B) { batchChurn(b, kind, width) })
+					if ns := float64(r.NsPerOp()); best[j] == 0 || ns < best[j] {
+						best[j] = ns
+					}
+				}
+			}
+			perOp, b1, b32 := best[0], best[1], best[2]
 			speedup := perOp / b32
 			overhead := b1 / perOp
 			t.Logf("%s: per-op %.1f ns/item, batch1 %.1f ns/item (%.3fx), batch32 %.1f ns/item (%.2fx speedup)",

@@ -643,8 +643,55 @@ func TestBatchTraceBracket(t *testing.T) {
 	if begins != 2 || ends != 2 {
 		t.Fatalf("trace brackets: %d begins, %d ends, want 2 and 2", begins, ends)
 	}
-	// The delete batch ran last: 4 items, 4 deferred retires.
+	// The delete batch ran last: 4 items, 4 retires in its burst.
 	if lastEnd.A != 4 || lastEnd.B != 4 {
 		t.Fatalf("batch-end payload = items %d retires %d, want 4 and 4", lastEnd.A, lastEnd.B)
+	}
+}
+
+// TestBatchLeavesNoReservation pins the end of a batch: one retiring batch
+// (MultiDelete, PopN, DequeueN) on a pinned guard must hand its retire
+// burst to the cadence — the tid's first cadence step scans — and must
+// close the protection span it opened. With the guard still pinned but
+// idle, a quiescent Scavenge then reclaims every retired block; a hazard,
+// reservation or epoch announcement left over from the batch would pin
+// some of them.
+func TestBatchLeavesNoReservation(t *testing.T) {
+	const width = 32
+	keys := make([]uint64, width)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	for _, st := range batchStructures {
+		for _, kind := range nonLeakSchemes() {
+			t.Run(st.name+"/"+kind.String(), func(t *testing.T) {
+				d := testDomain(t, kind, 2, 1<<12, false)
+				api := st.build(d)
+				g := d.Pin()
+				defer d.Unpin(g)
+				if api.kind() == kvKind {
+					api.putAll(g, keys, keys)
+				} else {
+					api.insertAll(g, keys)
+				}
+				scans := d.Telemetry().ScanScans
+				if api.kind() == kvKind {
+					for i, ok := range api.deleteAll(g, keys) {
+						if !ok {
+							t.Fatalf("key %d missing from the batch delete", keys[i])
+						}
+					}
+				} else if got := api.removeN(g, width); len(got) != width {
+					t.Fatalf("removed %d values, want %d", len(got), width)
+				}
+				if d.Telemetry().ScanScans == scans {
+					t.Error("the retiring batch ran no cadence scan")
+				}
+				d.Scavenge()
+				if n := d.Unreclaimed(); n != 0 {
+					t.Errorf("Unreclaimed = %d after Scavenge with the guard idle, want 0", n)
+				}
+			})
+		}
 	}
 }

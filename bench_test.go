@@ -132,7 +132,11 @@ func benchGetProtected(b *testing.B, scheme string) {
 	threads := runtime.GOMAXPROCS(0)
 	smr := newBenchScheme(b, scheme, threads, 1024)
 	var root atomic.Uint64
-	root.Store(smr.Alloc(0))
+	h, ok := smr.Alloc(0)
+	if !ok {
+		b.Fatal("arena exhausted")
+	}
+	root.Store(h)
 
 	var tids atomic.Int64
 	b.ResetTimer()

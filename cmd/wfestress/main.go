@@ -552,7 +552,7 @@ func batchStorm(threads int, duration time.Duration, keyRange uint64,
 	}
 
 	// The switcher: same rotation as the -switch storm, so every scheme's
-	// BeginBatch/RetireBatch path runs under the storm, and the switch
+	// batch span and retire burst run under the storm, and the switch
 	// gate has to drain guards that are mid-burst.
 	const dwell = 20 * time.Millisecond
 	rotation := wfe.AllSchemes()

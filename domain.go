@@ -281,29 +281,15 @@ type liveScheme[T any] struct{ d *Domain[T] }
 func (l liveScheme[T]) Name() string                 { return l.d.scheme().s.Name() }
 func (l liveScheme[T]) Begin(tid int)                { l.d.scheme().s.Begin(tid) }
 func (l liveScheme[T]) Clear(tid int)                { l.d.scheme().s.Clear(tid) }
-func (l liveScheme[T]) Unreclaimed() int             { return l.d.scheme().s.Unreclaimed() }
 func (l liveScheme[T]) Arena() *mem.Arena            { return l.d.arena }
 func (l liveScheme[T]) Retirer() *reclaim.Retirer    { return l.d.scheme().s.Retirer() }
 func (l liveScheme[T]) Retire(tid int, h mem.Handle) { l.d.scheme().s.Retire(tid, h) }
-func (l liveScheme[T]) BeginBatch(tid int) bool      { return l.d.scheme().s.BeginBatch(tid) }
-func (l liveScheme[T]) EndBatch(tid int)             { l.d.scheme().s.EndBatch(tid) }
-func (l liveScheme[T]) RetireBatch(tid int, blks []mem.Handle) {
-	l.d.scheme().s.RetireBatch(tid, blks)
-}
 
 // Alloc routes the internal structures' node allocations through the
-// Domain's backpressure pipeline, so a WFQueue or TurnQueue segment
+// Domain's backpressure pipeline, so a WFQueue or TurnQueue node
 // allocation under pressure gets the same emergency scans and retries a
-// Guard.Alloc does before the exhaustion panic fires.
-func (l liveScheme[T]) Alloc(tid int) mem.Handle {
-	h, err := l.d.allocHandle(tid)
-	if err != nil {
-		panic(exhaustedPanic(l.d.arena.Capacity()))
-	}
-	return h
-}
-
-func (l liveScheme[T]) TryAlloc(tid int) (mem.Handle, bool) {
+// Guard.TryAlloc does before reporting exhaustion.
+func (l liveScheme[T]) Alloc(tid int) (mem.Handle, bool) {
 	h, err := l.d.allocHandle(tid)
 	return h, err == nil
 }
@@ -657,7 +643,7 @@ func (d *Domain[T]) FlushGuardCache() int {
 
 // Unreclaimed reports the number of retired-but-not-yet-recycled blocks,
 // the paper's reclamation-speed metric. Approximate under concurrency.
-func (d *Domain[T]) Unreclaimed() int { return d.scheme().s.Unreclaimed() }
+func (d *Domain[T]) Unreclaimed() int { return d.scheme().s.Retirer().Unreclaimed() }
 
 // ErrArenaExhausted is returned by the structures' Try* methods (and
 // Guard.TryAlloc) when an allocation found the arena full and the
@@ -678,10 +664,10 @@ func exhaustedPanic(capacity int) error {
 }
 
 // allocHandle is the Domain's allocation front door: the scheme's
-// TryAlloc on the fast path, the emergency-reclamation pipeline on a
+// Alloc on the fast path, the emergency-reclamation pipeline on a
 // miss. Callers must own tid (hold its guard).
 func (d *Domain[T]) allocHandle(tid int) (mem.Handle, error) {
-	if h, ok := d.scheme().s.TryAlloc(tid); ok {
+	if h, ok := d.scheme().s.Alloc(tid); ok {
 		return h, nil
 	}
 	return d.allocSlow(tid)
@@ -690,17 +676,18 @@ func (d *Domain[T]) allocHandle(tid int) (mem.Handle, error) {
 // allocSlow resolves an exhausted-arena allocation by forcing the
 // reclamation the cadence has not run yet: each round ticks the scheme's
 // era clock (so a fresh scan judges against a clock ahead of every
-// stamped retirement), scans tid's own retire ring out of the
-// CleanupFreq cadence, and retries the allocation, sleeping a doubling
-// backoff between rounds. Only tid's ring is scanned directly — retire
-// rings are single-writer, and reaching into another guard's ring would
-// race its owner — so rescue from the other rings is arranged
-// indirectly: registering as an arena waiter makes every concurrent
-// retire run its own out-of-cadence scan and makes frees spill eagerly
-// past the private caches to the global list, where this tid's retry
-// can claim them. A guard whose own ring is empty (it just started, or
-// has only read) is therefore still rescued, as long as some guard
-// somewhere is retiring.
+// stamped retirement), scans tid's own retire ring and the rings of the
+// guards idling in the lease cache out of the CleanupFreq cadence, and
+// retries the allocation, sleeping a doubling backoff between rounds.
+// Retire rings are single-writer, so a ring is only scanned by whoever
+// owns its tid: tid itself, or an idle guard this round claims out of
+// the cache for the length of its scan (scanIdle). The rings of guards
+// in use are reached indirectly: registering as an arena waiter makes
+// every concurrent retire run its own out-of-cadence scan and makes frees
+// spill eagerly past the private caches to the global list, where this
+// tid's retry can claim them. A guard whose own ring is empty (it just
+// started, or has only read) is therefore still rescued, as long as some
+// guard is retiring or some idle guard holds a backlog.
 func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	d.allocStalls.Add(1)
 	st := d.arena.Stats()
@@ -721,8 +708,9 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 			c.AdvanceClock(tid)
 		}
 		rt.Scan(tid)
+		d.scanIdle(rt)
 		d.emergencyScans.Add(1)
-		if h, ok := box.s.TryAlloc(tid); ok {
+		if h, ok := box.s.Alloc(tid); ok {
 			return h, nil
 		}
 		if round >= d.allocRetries {
@@ -734,6 +722,24 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 			if backoff > ceil {
 				backoff = ceil
 			}
+		}
+	}
+}
+
+// scanIdle scans the retire ring of every guard idling in the lease
+// cache, claiming each one for the length of its scan. An idle guard's
+// tid retires nothing until its next lease, so without this its backlog
+// — the whole retire history of a goroutine that has finished its work,
+// say — would stay out of reach of a stalled allocation. A live scheme
+// switch is flushing the cache, so scanIdle leaves it alone then.
+func (d *Domain[T]) scanIdle(rt *reclaim.Retirer) {
+	if d.guards.Paused() {
+		return
+	}
+	for i := range d.cache {
+		if g := d.cache[i].g.Load(); g != nil && g.claim() {
+			rt.Scan(g.tid)
+			g.state.Store(guardCached)
 		}
 	}
 }
@@ -1275,14 +1281,9 @@ type Guard[T any] struct {
 	state atomic.Uint32
 	slot  int32
 
-	// Batch-context state (see batch.go). While batching, Retire diverts
-	// into batchRetires for one RetireBatch submission at endBatch;
-	// batchSpan records BeginBatch's verdict — whether one reservation
-	// span covers the whole batch, or the runner must Clear between items
-	// (HP). Owner-goroutine only, reset by endBatch.
-	batching     bool
-	batchSpan    bool
-	batchRetires []mem.Handle
+	// batching is set while a batch context is open (see batch.go): Begin
+	// and End then leave the batch-wide span alone. Owner-goroutine only.
+	batching bool
 	// batchNodes are reusable backing arrays for the up-front allocation
 	// runs of the batch write APIs (scratchNodes), so a guard running
 	// bursts in a hot loop allocates its node lists once, not per burst.
@@ -1349,10 +1350,9 @@ func (g *Guard[T]) Release() {
 
 // Begin marks the start of a data-structure operation. Epoch- and
 // interval-based schemes announce activity here; WFE, HE and HP no-op.
-// Inside a batch context the announcement made at beginBatch already
-// covers the item (and for HP, Begin is a no-op regardless), so Begin
-// does nothing — which lets the batch APIs reuse the per-op Guarded
-// method bodies unchanged (see batch.go).
+// Inside a batch context the span opened at beginBatch already covers
+// the item, so Begin does nothing — which lets the batch APIs reuse the
+// per-op Guarded method bodies unchanged (see batch.go).
 func (g *Guard[T]) Begin() {
 	if g.batching {
 		return
@@ -1362,13 +1362,10 @@ func (g *Guard[T]) Begin() {
 
 // End marks the end of an operation, dropping every protection the guard
 // holds (the paper's clear()). Refs obtained from Protect must not be
-// dereferenced after End. Inside a batch context End degrades to
-// batchStep: a no-op under a batch-wide reservation span, a per-item
-// hazard clear under HP — so each batched item keeps exactly the per-op
-// HP protection discipline.
+// dereferenced after End. Inside a batch context End does nothing: the
+// batch-wide span stays open until endBatch clears it.
 func (g *Guard[T]) End() {
 	if g.batching {
-		g.batchStep()
 		return
 	}
 	g.d.scheme().s.Clear(g.tid)
@@ -1418,7 +1415,7 @@ func (g *Guard[T]) TryAlloc(v T) (Ref[T], error) {
 // waiting for. On false, the caller Ends, runs TryAlloc unprotected,
 // Begins again and restarts its traversal.
 func (g *Guard[T]) tryAllocFast(v T) (Ref[T], bool) {
-	h, ok := g.d.scheme().s.TryAlloc(g.tid)
+	h, ok := g.d.scheme().s.Alloc(g.tid)
 	if !ok {
 		return Ref[T]{}, false
 	}
@@ -1447,14 +1444,6 @@ func (g *Guard[T]) Dealloc(r Ref[T]) { g.d.arena.Free(g.tid, r.handle()) }
 // tid. All three acquisition paths therefore share one retire discipline;
 // none can strand a retired block.
 func (g *Guard[T]) Retire(r Ref[T]) {
-	if g.batching {
-		// Inside a batch context the retire is deferred: endBatch submits
-		// the whole burst through RetireBatch, so the scan-gating counter
-		// advances once per batch. Deferral only delays reclamation —
-		// always safe.
-		g.batchRetires = append(g.batchRetires, r.handle())
-		return
-	}
 	g.d.scheme().s.Retire(g.tid, r.handle())
 }
 

@@ -116,6 +116,140 @@ func TestExhaustionStormAllSchemes(t *testing.T) {
 	}
 }
 
+// TestQueueExhaustionStormAllSchemes is the exhaustion storm for the two
+// wait-free queues, whose node allocation sits inside internal/ds: eight
+// goroutines run guardless 50/50 TryEnqueue/Dequeue on the HashMap storm's
+// undersized, lazily-scanned arena. Each queue must allocate its node
+// before protecting anything, so a stalled allocation holds no epoch or
+// reservation that pins its own rescue: zero surfaced errors, every
+// enqueued value dequeued exactly once after a final drain, the emergency
+// pipeline actually entered, and a clean quiescent census.
+func TestQueueExhaustionStormAllSchemes(t *testing.T) {
+	type tryQueue interface {
+		TryEnqueue(uint64) error
+		Dequeue() (uint64, bool)
+	}
+	queues := []struct {
+		name string
+		open func(d *wfe.Domain[uint64]) tryQueue
+	}{
+		{"WFQueue", func(d *wfe.Domain[uint64]) tryQueue { return wfe.NewWFQueue(d) }},
+		{"TurnQueue", func(d *wfe.Domain[uint64]) tryQueue { return wfe.NewTurnQueue(d) }},
+	}
+	for _, qc := range queues {
+		for _, kind := range nonLeakSchemes() {
+			qc, kind := qc, kind
+			t.Run(qc.name+"/"+kind.String(), func(t *testing.T) {
+				const (
+					goroutines = 8
+					opsPerG    = 4000
+				)
+				// The HashMap storm's options: no cadence scans, a fast era
+				// clock and small spill batches (see the comments there).
+				d, err := wfe.NewDomain[uint64](wfe.Options{
+					Scheme:      kind,
+					Capacity:    1 << 10,
+					MaxGuards:   goroutines,
+					CleanupFreq: 1 << 20,
+					EraFreq:     2,
+					SpillSize:   16,
+					Debug:       true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := qc.open(d)
+				var surfaced, enqueued, dequeued atomic.Uint64
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						rng := uint64(g)*0x9e3779b97f4a7c15 + 1
+						for i := 0; i < opsPerG; i++ {
+							rng ^= rng << 13
+							rng ^= rng >> 7
+							rng ^= rng << 17
+							if rng%2 == 0 {
+								if err := q.TryEnqueue(rng); err != nil {
+									surfaced.Add(1)
+								} else {
+									enqueued.Add(1)
+								}
+							} else if _, ok := q.Dequeue(); ok {
+								dequeued.Add(1)
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				if n := surfaced.Load(); n != 0 {
+					t.Errorf("%d enqueue(s) surfaced ErrArenaExhausted despite emergency reclamation", n)
+				}
+				if d.Telemetry().EmergencyScans == 0 {
+					t.Error("storm never entered the emergency pipeline — arena not undersized for the workload")
+				}
+				for {
+					if _, ok := q.Dequeue(); !ok {
+						break
+					}
+					dequeued.Add(1)
+				}
+				if e, dq := enqueued.Load(), dequeued.Load(); e != dq {
+					t.Errorf("enqueued %d values, dequeued %d after the drain", e, dq)
+				}
+				quiesce.Settle(d)
+				if err := quiesce.Check(d, true); err != nil {
+					t.Errorf("post-storm quiesce: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestEmergencyScanReachesIdleGuards pins the emergency pipeline's reach
+// into idle guards: guard A leaves a retire backlog and goes idle in the
+// lease cache, then guard B — whose own ring is empty — fills the arena
+// with live blocks. B's stalled allocations can only be met from A's
+// backlog, and nobody retires on A's tid again, so the pipeline itself
+// must scan A's ring: once B's fill ends, no retired block may be left.
+func TestEmergencyScanReachesIdleGuards(t *testing.T) {
+	for _, kind := range nonLeakSchemes() {
+		t.Run(kind.String(), func(t *testing.T) {
+			d, err := wfe.NewDomain[uint64](wfe.Options{
+				Scheme:       kind,
+				Capacity:     256,
+				MaxGuards:    2,
+				CleanupFreq:  1 << 20, // no cadence scans: A's backlog stays put
+				SpillSize:    16,
+				AllocRetries: 2,
+				AllocBackoff: time.Microsecond,
+				Debug:        true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := wfe.NewStack[uint64](d)
+			b := d.Guard() // held throughout, so A gets the other tid
+			defer b.Release()
+			a := d.Pin()
+			for i := uint64(0); i < 128; i++ {
+				s.PushGuarded(a, i)
+				s.PopGuarded(a)
+			}
+			d.Unpin(a) // A idles in the lease cache with its backlog
+			if n := d.Unreclaimed(); n < 100 {
+				t.Fatalf("idle guard's backlog = %d, want most of its 128 retires", n)
+			}
+			for s.TryPushGuarded(b, 1) == nil {
+			}
+			if n := d.Unreclaimed(); n != 0 {
+				t.Errorf("Unreclaimed = %d once the arena is full of live blocks, want 0: the idle guard's backlog was never scanned", n)
+			}
+		})
+	}
+}
+
 // smallDomain builds a Domain whose arena genuinely cannot satisfy more
 // than its capacity in live blocks, with the retry ladder shortened so
 // each surfaced error costs microseconds, not the default backoff budget.

@@ -111,13 +111,13 @@ func microScan(scheme string, threads, rounds int, linear bool) ScanResult {
 	}
 	churner := threads // tids 0..threads-1 hold the reservations
 	var root atomic.Uint64
-	root.Store(smr.Alloc(churner))
+	root.Store(mustAlloc(smr, churner))
 
 	// Warm up past the count-0 era advances of Alloc and Retire so the
 	// reservations published next sit at the era the churn blocks are
 	// stamped with, keeping a backlog protected across the measured scans.
 	for i := 0; i < 65; i++ {
-		smr.Retire(churner, smr.Alloc(churner))
+		smr.Retire(churner, mustAlloc(smr, churner))
 	}
 	for t := 0; t < threads; t++ {
 		smr.Begin(t)
@@ -129,7 +129,7 @@ func microScan(scheme string, threads, rounds int, linear bool) ScanResult {
 
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
-		smr.Retire(churner, smr.Alloc(churner))
+		smr.Retire(churner, mustAlloc(smr, churner))
 	}
 	elapsed := time.Since(start)
 
@@ -160,12 +160,22 @@ func microScan(scheme string, threads, rounds int, linear bool) ScanResult {
 		Mops:           float64(rounds) / elapsed.Seconds() / 1e6,
 		Scans:          scans,
 		ScanBlocks:     blocks,
-		Unreclaimed:    float64(smr.Unreclaimed()),
+		Unreclaimed:    float64(smr.Retirer().Unreclaimed()),
 	}
 	if blocks > 0 {
 		r.NsPerBlock = float64(nanos) / float64(blocks)
 	}
 	return r
+}
+
+// mustAlloc allocates for the micro scan, whose arena is sized so that
+// exhaustion is a harness bug.
+func mustAlloc(smr reclaim.Scheme, tid int) mem.Handle {
+	h, ok := smr.Alloc(tid)
+	if !ok {
+		panic("bench: micro scan arena exhausted")
+	}
+	return h
 }
 
 // AblationScan runs the controlled cleanup microbenchmark at 16 and 64

@@ -129,11 +129,6 @@ func (w *WFE) Era() uint64 { return w.globalEra.Load() }
 // SlowPaths returns how many GetProtected calls entered the slow path.
 func (w *WFE) SlowPaths() uint64 { return w.slowPaths.Load() }
 
-// MaxSteps reports the worst combined fast+slow iteration count observed by
-// any thread for a single GetProtected call — WFE's whole point is that
-// this stays bounded under adversarial era movement.
-func (w *WFE) MaxSteps() uint64 { return w.rt.MaxSteps() }
-
 func (w *WFE) resv(tid, j int) *atomic.Uint64 {
 	return &w.reservations[tid*w.rowStride+j]
 }
@@ -290,27 +285,16 @@ func (w *WFE) helpThread(i, j, tid int) {
 	w.resv(tid, w.cfg.MaxHEs).Store(uint64(pack.MakeEraTag(pack.Inf, 0)))
 }
 
-// Alloc implements the paper's alloc_block (Figure 4, lines 69-75).
-func (w *WFE) Alloc(tid int) mem.Handle {
+// Alloc implements the paper's alloc_block (Figure 4, lines 69-75). The
+// era cadence ticks even when the arena is exhausted, which reports
+// (0, false).
+func (w *WFE) Alloc(tid int) (mem.Handle, bool) {
 	t := &w.threads[tid]
 	if t.allocCount%uint64(w.cfg.EraFreq) == 0 {
 		w.incrementEra(tid)
 	}
 	t.allocCount++
-	h := w.arena.Alloc(tid)
-	w.arena.SetAllocEra(h, w.globalEra.Load())
-	return h
-}
-
-// TryAlloc is Alloc with backpressure: the era cadence still ticks, but
-// arena exhaustion reports (0, false) instead of panicking.
-func (w *WFE) TryAlloc(tid int) (mem.Handle, bool) {
-	t := &w.threads[tid]
-	if t.allocCount%uint64(w.cfg.EraFreq) == 0 {
-		w.incrementEra(tid)
-	}
-	t.allocCount++
-	h, ok := w.arena.TryAlloc(tid)
+	h, ok := w.arena.Alloc(tid)
 	if !ok {
 		return 0, false
 	}
@@ -339,30 +323,6 @@ func (w *WFE) PreScan(tid int, h mem.Handle) {
 	if w.arena.RetireEra(h) == w.globalEra.Load() {
 		w.incrementEra(tid)
 	}
-}
-
-// BeginBatch implements reclaim.Scheme: WFE reservations are {era, tag}
-// words that stay published until Clear, so the slots a batch's
-// GetProtected calls fill remain valid across items — one span per batch,
-// no prologue. The helping machinery is untouched: a slow path inside a
-// batch publishes and completes its request exactly as in the per-op
-// path.
-func (w *WFE) BeginBatch(tid int) bool { return true }
-
-// EndBatch implements reclaim.Scheme: the batch-wide Clear.
-func (w *WFE) EndBatch(tid int) { w.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: stamp every block with the era
-// read once at submission (monotone, so ≥ each unlink's era — the stamped
-// lifespan only over-approximates) and hand the burst to the runtime's
-// amortized retire path; PreScan's pre-cleanup era advance still runs,
-// gated once per burst.
-func (w *WFE) RetireBatch(tid int, blks []mem.Handle) {
-	era := w.globalEra.Load()
-	for _, blk := range blks {
-		w.arena.SetRetireEra(blk, era)
-	}
-	w.rt.RetireBatch(tid, blks)
 }
 
 // Clear implements the paper's clear: all reservations back to ∞, tags
@@ -462,6 +422,3 @@ func overlapsLinear(eras []uint64, lo, hi uint64) bool {
 	}
 	return false
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (w *WFE) Unreclaimed() int { return w.rt.Unreclaimed() }

@@ -53,7 +53,7 @@ func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 		var roots [4]atomic.Uint64
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < 400; i++ {
-			h := w.Alloc(0)
+			h := mustAlloc(w, 0)
 			roots[i%4].Store(h)
 			if i%7 == 0 {
 				w.GetProtected(1, &roots[rng.Intn(4)], rng.Intn(4), 0)
@@ -63,7 +63,7 @@ func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 			}
 			w.Retire(0, h)
 		}
-		return w.Unreclaimed()
+		return w.Retirer().Unreclaimed()
 	}
 	if lin, sorted := run(true), run(false); lin != sorted {
 		t.Fatalf("backlog diverged: linear scan left %d, sorted scan %d", lin, sorted)
@@ -73,8 +73,8 @@ func TestLinearAndSortedCleanupAgreeEndToEnd(t *testing.T) {
 func TestFastPathStableEra(t *testing.T) {
 	w, a := newWFE(t, 1, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(0)
-	a.SetKey(h, 5)
+	h := mustAlloc(w, 0)
+	a.StoreWord(h, keyWord, 5)
 	root.Store(h)
 
 	before := w.SlowPaths()
@@ -97,7 +97,7 @@ func TestSlowPathSelfCompletion(t *testing.T) {
 	// own request on the first iteration.
 	w, _ := newWFE(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	h := w.Alloc(0)
+	h := mustAlloc(w, 0)
 	root.Store(h)
 
 	tagBefore := pack.EraTag(w.resv(0, 0).Load()).Tag()
@@ -126,7 +126,7 @@ func TestSlowPathSelfCompletion(t *testing.T) {
 func TestTagAdvancesPerCycle(t *testing.T) {
 	w, _ := newWFE(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	root.Store(w.Alloc(0))
+	root.Store(mustAlloc(w, 0))
 	for i := uint64(1); i <= 5; i++ {
 		w.GetProtected(0, &root, 0, 0)
 		if tag := pack.EraTag(w.resv(0, 0).Load()).Tag(); tag != i {
@@ -154,7 +154,7 @@ func postRequest(w *WFE, tid, index int, src *atomic.Uint64, parentEra uint64) u
 func TestHelpThreadProducesResult(t *testing.T) {
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := mustAlloc(w, 1)
 	root.Store(h)
 
 	tag := postRequest(w, 0, 0, &root, pack.Inf)
@@ -186,7 +186,7 @@ func TestHelpThreadProducesResult(t *testing.T) {
 func TestHelpThreadStaleTagExits(t *testing.T) {
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := mustAlloc(w, 1)
 	root.Store(h)
 
 	postRequest(w, 0, 0, &root, pack.Inf)
@@ -211,7 +211,7 @@ func TestHelpThreadStaleTagExits(t *testing.T) {
 func TestIncrementEraHelpsPendingRequests(t *testing.T) {
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := mustAlloc(w, 1)
 	root.Store(h)
 
 	postRequest(w, 0, 0, &root, pack.Inf)
@@ -232,8 +232,8 @@ func TestParentProtectedDuringHelp(t *testing.T) {
 	// reservation, so cleanup refuses to free it.
 	w, a := newWFE(t, 2, reclaim.Config{CleanupFreq: 1, EraFreq: 1})
 
-	parent := w.Alloc(1)
-	child := w.Alloc(1)
+	parent := mustAlloc(w, 1)
+	child := mustAlloc(w, 1)
 	a.StoreWord(parent, 0, child)
 	parentEra := a.AllocEra(parent)
 
@@ -270,7 +270,7 @@ func TestCleanupGateWhileSlowPathInFlight(t *testing.T) {
 	// reservation covering the block, cleanup must keep the block.
 	w, a := newWFE(t, 2, reclaim.Config{CleanupFreq: 1, EraFreq: 1})
 
-	blk := w.Alloc(1)
+	blk := mustAlloc(w, 1)
 	blkEra := a.AllocEra(blk)
 	var root atomic.Uint64
 	root.Store(blk)
@@ -296,7 +296,7 @@ func TestCleanupGateWhileSlowPathInFlight(t *testing.T) {
 func TestClearPreservesTags(t *testing.T) {
 	w, _ := newWFE(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	root.Store(w.Alloc(0))
+	root.Store(mustAlloc(w, 0))
 	w.GetProtected(0, &root, 0, 0)
 	tag := pack.EraTag(w.resv(0, 0).Load()).Tag()
 	w.Clear(0)
@@ -314,8 +314,8 @@ func TestCountersBalanceUnderConcurrency(t *testing.T) {
 	w, a := newWFE(t, workers, reclaim.Config{EraFreq: 2, CleanupFreq: 2, MaxAttempts: 2})
 	var roots [8]atomic.Uint64
 	for i := range roots {
-		h := w.Alloc(0)
-		a.SetKey(h, h)
+		h := mustAlloc(w, 0)
+		a.StoreWord(h, keyWord, h)
 		roots[i].Store(h)
 	}
 	var wg sync.WaitGroup
@@ -330,15 +330,15 @@ func TestCountersBalanceUnderConcurrency(t *testing.T) {
 				rng ^= rng << 17
 				idx := int(rng % uint64(len(roots)))
 				if rng&3 == 0 {
-					n := w.Alloc(tid)
-					a.SetKey(n, n)
+					n := mustAlloc(w, tid)
+					a.StoreWord(n, keyWord, n)
 					old := roots[idx].Swap(n)
 					if h := pack.Handle(old); h != 0 {
 						w.Retire(tid, h)
 					}
 				} else {
 					v := w.GetProtected(tid, &roots[idx], 0, 0)
-					if h := pack.Handle(v); h != 0 && a.Key(h) != h {
+					if h := pack.Handle(v); h != 0 && a.LoadWord(h, keyWord) != h {
 						panic("corrupted read")
 					}
 				}
@@ -360,8 +360,8 @@ func TestForcedSlowPathConcurrent(t *testing.T) {
 		ForceSlowPath: true, EraFreq: 1, CleanupFreq: 1,
 	})
 	var root atomic.Uint64
-	h0 := w.Alloc(0)
-	a.SetKey(h0, h0)
+	h0 := mustAlloc(w, 0)
+	a.StoreWord(h0, keyWord, h0)
 	root.Store(h0)
 
 	var wg sync.WaitGroup
@@ -372,13 +372,13 @@ func TestForcedSlowPathConcurrent(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				if tid%2 == 0 { // readers: always slow path
 					v := w.GetProtected(tid, &root, 0, 0)
-					if h := pack.Handle(v); h != 0 && a.Key(h) != h {
+					if h := pack.Handle(v); h != 0 && a.LoadWord(h, keyWord) != h {
 						panic("corrupted read on slow path")
 					}
 					w.Clear(tid)
 				} else { // writers: every alloc/retire moves the era + helps
-					n := w.Alloc(tid)
-					a.SetKey(n, n)
+					n := mustAlloc(w, tid)
+					a.StoreWord(n, keyWord, n)
 					old := root.Swap(n)
 					if h := pack.Handle(old); h != 0 {
 						w.Retire(tid, h)
@@ -400,12 +400,12 @@ func TestUnreclaimedTracksRetireLists(t *testing.T) {
 	w, _ := newWFE(t, 1, reclaim.Config{CleanupFreq: 1 << 30})
 	// The very first Retire scans (counter starts at zero); warm it up so
 	// the next ten retirements accumulate without a cleanup.
-	w.Retire(0, w.Alloc(0))
-	base := w.Unreclaimed()
+	w.Retire(0, mustAlloc(w, 0))
+	base := w.Retirer().Unreclaimed()
 	for i := 0; i < 10; i++ {
-		w.Retire(0, w.Alloc(0))
+		w.Retire(0, mustAlloc(w, 0))
 	}
-	if got := w.Unreclaimed(); got != base+10 {
+	if got := w.Retirer().Unreclaimed(); got != base+10 {
 		t.Fatalf("unreclaimed = %d, want %d", got, base+10)
 	}
 }
@@ -417,7 +417,7 @@ func TestStaleHelperReservationCASFailsAfterCycleEnds(t *testing.T) {
 	// a reservation.
 	w, _ := newWFE(t, 2, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	h := w.Alloc(0)
+	h := mustAlloc(w, 0)
 	root.Store(h)
 
 	// Complete one slow-path cycle; reservation now carries tag 1.
@@ -442,8 +442,8 @@ func TestHelpThreadPointerRedirection(t *testing.T) {
 	// observing the latest value stored there.
 	w, _ := newWFE(t, 2, reclaim.Config{})
 	var loc atomic.Uint64
-	first := w.Alloc(1)
-	second := w.Alloc(1)
+	first := mustAlloc(w, 1)
+	second := mustAlloc(w, 1)
 	loc.Store(first)
 
 	postRequest(w, 0, 0, &loc, pack.Inf)
@@ -466,13 +466,13 @@ func TestSlowPathOnHigherIndex(t *testing.T) {
 	w, a := newWFE(t, 1, reclaim.Config{ForceSlowPath: true, MaxHEs: 4})
 	var roots [4]atomic.Uint64
 	for i := range roots {
-		h := w.Alloc(0)
-		a.SetKey(h, uint64(i))
+		h := mustAlloc(w, 0)
+		a.StoreWord(h, keyWord, uint64(i))
 		roots[i].Store(h)
 	}
 	for i := range roots {
 		got := w.GetProtected(0, &roots[i], i, 0)
-		if a.Key(pack.Handle(got)) != uint64(i) {
+		if a.LoadWord(pack.Handle(got), keyWord) != uint64(i) {
 			t.Fatalf("index %d: wrong block", i)
 		}
 	}
@@ -496,8 +496,8 @@ func TestMaxStepsBoundedUnderStorm(t *testing.T) {
 	const stormers = 3
 	w, a := newWFE(t, stormers+1, reclaim.Config{EraFreq: 1, CleanupFreq: 4, MaxAttempts: 4})
 	var root atomic.Uint64
-	h := w.Alloc(stormers)
-	a.SetKey(h, 7)
+	h := mustAlloc(w, stormers)
+	a.StoreWord(h, keyWord, 7)
 	root.Store(h)
 
 	stop := make(chan struct{})
@@ -512,7 +512,7 @@ func TestMaxStepsBoundedUnderStorm(t *testing.T) {
 					return
 				default:
 				}
-				w.Retire(tid, w.Alloc(tid))
+				w.Retire(tid, mustAlloc(w, tid))
 			}
 		}(s + 1)
 	}
@@ -529,7 +529,21 @@ func TestMaxStepsBoundedUnderStorm(t *testing.T) {
 	// can be mid-increment; fast path adds MaxAttempts. A generous constant
 	// covers increments already in flight when the loop starts.
 	bound := uint64(4 + 4*(stormers+1) + 8)
-	if got := w.MaxSteps(); got > bound {
+	if got := w.Retirer().MaxSteps(); got > bound {
 		t.Fatalf("worst GetProtected took %d steps; wait-free bound ~%d", got, bound)
 	}
 }
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (mem.Handle, bool) }, tid int) mem.Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
+}
+
+// keyWord is the payload word the tests stamp a marker into before
+// publishing a block, to detect a reader observing a recycled block.
+const keyWord = 0

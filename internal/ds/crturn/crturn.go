@@ -116,7 +116,10 @@ func NewTid(smr reclaim.Scheme, maxThreads, tid int) *Queue {
 		owners:     make([]ownerState, maxThreads),
 	}
 	a := smr.Arena()
-	s := smr.Alloc(tid)
+	s, ok := smr.Alloc(tid)
+	if !ok {
+		panic("crturn: arena exhausted allocating the sentinel")
+	}
 	a.StoreWord(s, nextWord, 0)
 	a.StoreWord(s, claimWord, 0)
 	a.StoreWord(s, enqTidWord, 0)
@@ -135,16 +138,23 @@ func (q *Queue) debugBound(round int, op string) {
 
 // Enqueue appends v. The announcement/turn protocol guarantees the node is
 // linked within one full turn even if this thread does all the work itself.
-func (q *Queue) Enqueue(tid int, v uint64) {
-	q.smr.Begin(tid)
-	defer q.smr.Clear(tid)
+// The node is allocated before the operation's Begin, so an allocation
+// stalled on an exhausted arena holds no reservation that could pin the
+// blocks its rescue depends on. When the allocator reports exhaustion,
+// Enqueue returns false and leaves the queue untouched.
+func (q *Queue) Enqueue(tid int, v uint64) bool {
 	a := q.smr.Arena()
-
-	node := q.smr.Alloc(tid)
+	node, ok := q.smr.Alloc(tid)
+	if !ok {
+		return false
+	}
 	a.SetVal(node, v)
 	a.StoreWord(node, nextWord, 0)
 	a.StoreWord(node, claimWord, 0)
 	a.StoreWord(node, enqTidWord, uint64(tid)+1)
+
+	q.smr.Begin(tid)
+	defer q.smr.Clear(tid)
 	q.threads[tid].enq.Store(node)
 
 	for round := 0; q.threads[tid].enq.Load() != 0; round++ {
@@ -181,6 +191,7 @@ func (q *Queue) Enqueue(tid int, v uint64) {
 			q.tail.CompareAndSwap(ltail, nn)
 		}
 	}
+	return true
 }
 
 // consume takes a hand-off (seq, node), returns its value, and retires the

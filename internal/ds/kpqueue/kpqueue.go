@@ -84,7 +84,10 @@ func New(smr reclaim.Scheme, maxThreads int) *Queue {
 func NewTid(smr reclaim.Scheme, maxThreads, tid int) *Queue {
 	q := &Queue{smr: smr, maxThreads: maxThreads, state: make([]stateSlot, maxThreads)}
 	a := smr.Arena()
-	s := smr.Alloc(tid)
+	s, ok := smr.Alloc(tid)
+	if !ok {
+		panic("kpqueue: arena exhausted allocating the sentinel")
+	}
 	a.StoreWord(s, nextWord, 0)
 	a.StoreWord(s, deqTidWord, 0)
 	a.StoreWord(s, enqTidWord, 0)
@@ -112,22 +115,29 @@ func (q *Queue) isStillPending(i int, phase uint64) bool {
 	return descPending(d) && descPhase(d) <= phase
 }
 
-// Enqueue appends v to the queue.
-func (q *Queue) Enqueue(tid int, v uint64) {
-	q.smr.Begin(tid)
-	defer q.smr.Clear(tid)
+// Enqueue appends v to the queue. The node is allocated before the
+// operation's Begin, so an allocation stalled on an exhausted arena holds
+// no reservation that could pin the blocks its rescue depends on. When
+// the allocator reports exhaustion, Enqueue returns false and leaves the
+// queue untouched.
+func (q *Queue) Enqueue(tid int, v uint64) bool {
 	a := q.smr.Arena()
-
-	node := q.smr.Alloc(tid)
+	node, ok := q.smr.Alloc(tid)
+	if !ok {
+		return false
+	}
 	a.SetVal(node, v)
 	a.StoreWord(node, nextWord, 0)
 	a.StoreWord(node, deqTidWord, 0)
 	a.StoreWord(node, enqTidWord, uint64(tid)+1)
 
+	q.smr.Begin(tid)
+	defer q.smr.Clear(tid)
 	phase := q.maxPhase() + 1
 	q.state[tid].desc.Store(makeDesc(phase, true, true, node))
 	q.help(tid, phase)
 	q.helpFinishEnq(tid)
+	return true
 }
 
 // Dequeue removes and returns the oldest value; ok is false when empty.

@@ -17,7 +17,9 @@ type tidQueue struct {
 	guards []*wfe.Guard[uint64]
 }
 
-func (q tidQueue) Enqueue(tid int, v uint64)      { q.q.EnqueueGuarded(q.guards[tid], v) }
+func (q tidQueue) Enqueue(tid int, v uint64) bool {
+	return q.q.TryEnqueueGuarded(q.guards[tid], v) == nil
+}
 func (q tidQueue) Dequeue(tid int) (uint64, bool) { return q.q.DequeueGuarded(q.guards[tid]) }
 
 func TestMSQueueSuite(t *testing.T) {

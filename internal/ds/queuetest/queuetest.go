@@ -14,9 +14,11 @@ import (
 	"wfe/internal/schemes"
 )
 
-// Queue is the operation set under test.
+// Queue is the operation set under test. Enqueue reports false when the
+// arena is exhausted; every arena in the suite is sized for its workload,
+// so the suite fails on false.
 type Queue interface {
-	Enqueue(tid int, v uint64)
+	Enqueue(tid int, v uint64) bool
 	Dequeue(tid int) (uint64, bool)
 }
 
@@ -65,7 +67,7 @@ func RunSuite(t *testing.T, open Opener) {
 func runSequential(t *testing.T, open Opener) {
 	q, _ := open(t, "WFE", 1, 1<<12)
 	for v := uint64(1); v <= 200; v++ {
-		q.Enqueue(0, v)
+		enqueue(t, q, 0, v)
 	}
 	for v := uint64(1); v <= 200; v++ {
 		got, ok := q.Dequeue(0)
@@ -83,7 +85,7 @@ func runEmpty(t *testing.T, open Opener) {
 	if _, ok := q.Dequeue(0); ok {
 		t.Fatal("empty queue returned a value")
 	}
-	q.Enqueue(0, 7)
+	enqueue(t, q, 0, 7)
 	if v, ok := q.Dequeue(0); !ok || v != 7 {
 		t.Fatalf("Dequeue = %d,%v; want 7", v, ok)
 	}
@@ -91,8 +93,8 @@ func runEmpty(t *testing.T, open Opener) {
 		t.Fatal("queue not empty after drain")
 	}
 	// Refill after emptiness.
-	q.Enqueue(0, 8)
-	q.Enqueue(0, 9)
+	enqueue(t, q, 0, 8)
+	enqueue(t, q, 0, 9)
 	if v, _ := q.Dequeue(0); v != 8 {
 		t.Fatal("FIFO broken after refill")
 	}
@@ -106,7 +108,7 @@ func runEmpty(t *testing.T, open Opener) {
 func runChurn(t *testing.T, open Opener) {
 	q, live := open(t, "WFE", 1, 512)
 	for i := uint64(0); i < 20000; i++ {
-		q.Enqueue(0, i)
+		enqueue(t, q, 0, i)
 		v, ok := q.Dequeue(0)
 		if !ok || v != i {
 			t.Fatalf("churn iteration %d: got %d,%v", i, v, ok)
@@ -146,7 +148,7 @@ func runStress(t *testing.T, open Opener, schemeName string) {
 			defer wg.Done()
 			defer done.Done()
 			for i := uint64(0); i < perProd; i++ {
-				q.Enqueue(tid, uint64(tid)<<32|i)
+				enqueue(t, q, tid, uint64(tid)<<32|i)
 			}
 		}(p)
 	}
@@ -260,7 +262,7 @@ func RunRealTimeOrderCheck(t *testing.T, open Opener) {
 			for i := uint64(0); i < perProd; i++ {
 				v := uint64(tid)<<32 | i
 				s := time.Since(base).Nanoseconds()
-				q.Enqueue(tid, v)
+				enqueue(t, q, tid, v)
 				enqs[tid] = append(enqs[tid], opStamp{v, s, time.Since(base).Nanoseconds()})
 			}
 		}(p)
@@ -331,5 +333,13 @@ func RunRealTimeOrderCheck(t *testing.T, open Opener) {
 				}
 			}
 		}
+	}
+}
+
+// enqueue enqueues v on behalf of tid and fails the test when the arena
+// reports exhaustion. Safe to call from the stress goroutines.
+func enqueue(t testing.TB, q Queue, tid int, v uint64) {
+	if !q.Enqueue(tid, v) {
+		t.Errorf("Enqueue(%d, %d) reported an exhausted arena", tid, v)
 	}
 }

@@ -97,52 +97,17 @@ func (e *EBR) Clear(tid int) {
 	e.ann(tid).Store(0)
 }
 
-// BeginBatch implements reclaim.Scheme: one epoch announcement covers a
-// whole batch of operations (the announcement pins the epoch for as long
-// as it stands, however many blocks the batch touches), so a single span
-// suffices. Holding it across the batch delays the epoch advance exactly
-// as one long operation would.
-func (e *EBR) BeginBatch(tid int) bool {
-	e.Begin(tid)
-	return true
-}
-
-// EndBatch implements reclaim.Scheme: the batch-wide Clear.
-func (e *EBR) EndBatch(tid int) { e.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: stamp every block with the epoch
-// read once at submission — monotone, so ≥ the epoch at each unlink, a
-// conservative lifespan — and hand the burst to the runtime's amortized
-// retire path.
-func (e *EBR) RetireBatch(tid int, blks []mem.Handle) {
-	epoch := e.globalEpoch.Load()
-	for _, blk := range blks {
-		e.arena.SetRetireEra(blk, epoch)
-	}
-	e.rt.RetireBatch(tid, blks)
-}
-
 // Alloc allocates a block; epochs need no allocation stamp, but the epoch
-// advance attempt keeps the clock moving on allocation-heavy phases, in line
-// with the benchmark's ν parameter.
-func (e *EBR) Alloc(tid int) mem.Handle {
+// advance attempt keeps the clock moving on allocation-heavy phases, in
+// line with the benchmark's ν parameter. The cadence ticks even when the
+// arena is exhausted, which reports (0, false).
+func (e *EBR) Alloc(tid int) (mem.Handle, bool) {
 	t := &e.threads[tid]
 	if t.allocCount%uint64(e.cfg.EraFreq) == 0 {
 		e.tryAdvance(tid)
 	}
 	t.allocCount++
 	return e.arena.Alloc(tid)
-}
-
-// TryAlloc is Alloc with backpressure: the epoch cadence still ticks, but
-// arena exhaustion reports (0, false) instead of panicking.
-func (e *EBR) TryAlloc(tid int) (mem.Handle, bool) {
-	t := &e.threads[tid]
-	if t.allocCount%uint64(e.cfg.EraFreq) == 0 {
-		e.tryAdvance(tid)
-	}
-	t.allocCount++
-	return e.arena.TryAlloc(tid)
 }
 
 // AdvanceClock attempts the global epoch advance out of the allocation
@@ -191,6 +156,3 @@ func (e *EBR) Gather(tid int, s *reclaim.Snapshot) {
 func (e *EBR) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 	return e.arena.RetireEra(blk)+2 <= s.Aux(0)
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (e *EBR) Unreclaimed() int { return e.rt.Unreclaimed() }

@@ -6,8 +6,9 @@
 // Paper mapping: Figure 1 (§2.3) line for line — get_protected's
 // stabilisation loop, retire's era stamping, and cleanup's reservation
 // scan. The unbounded get_protected loop here is the paper's motivating
-// problem; its per-thread worst case is observable through MaxSteps, and
-// examples/boundedsteps turns the difference into a latency table.
+// problem; its per-thread worst case is observable through
+// Retirer().MaxSteps, and examples/boundedsteps turns the difference into
+// a latency table.
 //
 // The retire side — retire lists, scan cadence, telemetry — lives in the
 // shared reclaim.Retirer; this package contributes the era clock, the
@@ -109,31 +110,15 @@ func (h *HE) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Han
 	}
 }
 
-// MaxSteps reports the worst protect-loop iteration count observed by any
-// thread for a single GetProtected call.
-func (h *HE) MaxSteps() uint64 { return h.rt.MaxSteps() }
-
-// Alloc implements the paper's alloc_block.
-func (h *HE) Alloc(tid int) mem.Handle {
+// Alloc implements the paper's alloc_block. The era cadence ticks even
+// when the arena is exhausted, which reports (0, false).
+func (h *HE) Alloc(tid int) (mem.Handle, bool) {
 	t := &h.threads[tid]
 	if t.allocCount%uint64(h.cfg.EraFreq) == 0 {
 		h.advanceEra(tid)
 	}
 	t.allocCount++
-	blk := h.arena.Alloc(tid)
-	h.arena.SetAllocEra(blk, h.globalEra.Load())
-	return blk
-}
-
-// TryAlloc is Alloc with backpressure: the era cadence still ticks, but
-// arena exhaustion reports (0, false) instead of panicking.
-func (h *HE) TryAlloc(tid int) (mem.Handle, bool) {
-	t := &h.threads[tid]
-	if t.allocCount%uint64(h.cfg.EraFreq) == 0 {
-		h.advanceEra(tid)
-	}
-	t.allocCount++
-	blk, ok := h.arena.TryAlloc(tid)
+	blk, ok := h.arena.Alloc(tid)
 	if !ok {
 		return 0, false
 	}
@@ -169,28 +154,6 @@ func (h *HE) advanceEra(tid int) {
 		panic("he: era clock exhausted (2^38 increments); see pack's width accounting")
 	}
 	h.cfg.Tracer.Emit(tid, trace.KindEraAdvance, era, 0)
-}
-
-// BeginBatch implements reclaim.Scheme: Hazard Eras reservations are era
-// values that stay published until Clear, so the slots a batch's
-// GetProtected calls fill remain valid across items — one span per batch,
-// no prologue needed. Holding the reservations across the batch is the
-// same conservatism as one long operation.
-func (h *HE) BeginBatch(tid int) bool { return true }
-
-// EndBatch implements reclaim.Scheme: the batch-wide Clear.
-func (h *HE) EndBatch(tid int) { h.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: stamp every block with the era
-// read once at submission (monotone, so ≥ each unlink's era — the stamped
-// lifespan only over-approximates) and hand the burst to the runtime's
-// amortized retire path.
-func (h *HE) RetireBatch(tid int, blks []mem.Handle) {
-	era := h.globalEra.Load()
-	for _, blk := range blks {
-		h.arena.SetRetireEra(blk, era)
-	}
-	h.rt.RetireBatch(tid, blks)
 }
 
 // Clear implements the paper's clear; only indices used since the previous
@@ -251,6 +214,3 @@ func eraReservedLinear(eras []uint64, lo, hi uint64) bool {
 	}
 	return false
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (h *HE) Unreclaimed() int { return h.rt.Unreclaimed() }

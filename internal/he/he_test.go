@@ -24,17 +24,17 @@ func TestEraAdvancesOnAllocFrequency(t *testing.T) {
 	h, _ := newHE(t, reclaim.Config{MaxThreads: 1, EraFreq: 10})
 	e0 := h.Era()
 	// The first alloc (count 0) advances; the next nine must not.
-	h.Alloc(0)
+	mustAlloc(h, 0)
 	if h.Era() != e0+1 {
 		t.Fatalf("era = %d after first alloc, want %d", h.Era(), e0+1)
 	}
 	for i := 0; i < 9; i++ {
-		h.Alloc(0)
+		mustAlloc(h, 0)
 	}
 	if h.Era() != e0+1 {
 		t.Fatalf("era = %d after 10 allocs, want %d", h.Era(), e0+1)
 	}
-	h.Alloc(0) // 11th: crosses the frequency boundary
+	mustAlloc(h, 0) // 11th: crosses the frequency boundary
 	if h.Era() != e0+2 {
 		t.Fatalf("era = %d after 11 allocs, want %d", h.Era(), e0+2)
 	}
@@ -44,7 +44,7 @@ func TestRetireAdvancesEraOnlyWhenCurrent(t *testing.T) {
 	// The paper's race fix: retire() advances the era only if the block's
 	// retire era still equals the global era at the check.
 	h, _ := newHE(t, reclaim.Config{MaxThreads: 1, EraFreq: 1 << 30, CleanupFreq: 1})
-	blk := h.Alloc(0)
+	blk := mustAlloc(h, 0)
 	e0 := h.Era()
 	h.Retire(0, blk)
 	if h.Era() != e0+1 {
@@ -54,7 +54,7 @@ func TestRetireAdvancesEraOnlyWhenCurrent(t *testing.T) {
 
 func TestCanDeleteBoundaries(t *testing.T) {
 	h, a := newHE(t, reclaim.Config{MaxThreads: 1})
-	blk := h.Alloc(0)
+	blk := mustAlloc(h, 0)
 	a.SetAllocEra(blk, 10)
 	a.SetRetireEra(blk, 20)
 	cases := []struct {
@@ -106,7 +106,7 @@ func TestSortedScanMatchesLinearOracle(t *testing.T) {
 func TestGetProtectedPublishesEra(t *testing.T) {
 	h, _ := newHE(t, reclaim.Config{MaxThreads: 1})
 	var root atomic.Uint64
-	blk := h.Alloc(0)
+	blk := mustAlloc(h, 0)
 	root.Store(blk)
 	h.globalEra.Add(3) // force a reservation refresh
 	got := h.GetProtected(0, &root, 2, 0)
@@ -125,9 +125,19 @@ func TestGetProtectedPublishesEra(t *testing.T) {
 func TestMaxStepsGrowsUnderEraMovement(t *testing.T) {
 	h, _ := newHE(t, reclaim.Config{MaxThreads: 1})
 	var root atomic.Uint64
-	root.Store(h.Alloc(0))
+	root.Store(mustAlloc(h, 0))
 	h.GetProtected(0, &root, 0, 0)
-	if h.MaxSteps() < 1 {
+	if h.Retirer().MaxSteps() < 1 {
 		t.Fatal("MaxSteps not recorded")
 	}
+}
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (mem.Handle, bool) }, tid int) mem.Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
 }

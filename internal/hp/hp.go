@@ -16,6 +16,12 @@
 // — lives in the shared reclaim.Retirer; this package contributes only the
 // hazard matrix and its identity Judge (Gather the published handles,
 // CanFree whatever is not among them — Michael's scan).
+//
+// A batch of operations keeps one Begin…Clear span here as on every other
+// scheme: each item's GetProtected still publishes and validates its own
+// hazard, and a hazard left over from an earlier item can only keep a
+// node alive longer, never expose a freed one. Items reuse the same slot
+// indices, so at most MaxHEs extra nodes wait for the batch to end.
 package hp
 
 import (
@@ -97,14 +103,9 @@ func (h *HP) GetProtected(tid int, src *atomic.Uint64, index int, parent mem.Han
 }
 
 // Alloc stamps no era: Hazard Pointers tracks identities, not lifespans.
-func (h *HP) Alloc(tid int) mem.Handle {
+// Arena exhaustion reports (0, false).
+func (h *HP) Alloc(tid int) (mem.Handle, bool) {
 	return h.arena.Alloc(tid)
-}
-
-// TryAlloc is Alloc with backpressure: arena exhaustion reports
-// (0, false) instead of panicking. HP has no era clock to tick.
-func (h *HP) TryAlloc(tid int) (mem.Handle, bool) {
-	return h.arena.TryAlloc(tid)
 }
 
 // Retire hands the block to the shared retire-side runtime, which scans
@@ -112,27 +113,6 @@ func (h *HP) TryAlloc(tid int) (mem.Handle, bool) {
 func (h *HP) Retire(tid int, blk mem.Handle) {
 	h.arena.SetRetireEra(blk, 0)
 	h.rt.Retire(tid, blk)
-}
-
-// BeginBatch implements reclaim.Scheme and reports false: a hazard slot
-// protects exactly one node identity, so no single span can cover a batch
-// — the runner must Clear between items and let each operation's
-// GetProtected calls rotate hazard slots per node, exactly as in the
-// per-op path. Batching under HP amortizes the lease and the retire
-// cadence, never the protection itself.
-func (h *HP) BeginBatch(tid int) bool { return false }
-
-// EndBatch implements reclaim.Scheme: the trailing Clear.
-func (h *HP) EndBatch(tid int) { h.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: HP tracks identities, not
-// lifespans, so the blocks carry a zero stamp straight into the runtime's
-// amortized retire path.
-func (h *HP) RetireBatch(tid int, blks []mem.Handle) {
-	for _, blk := range blks {
-		h.arena.SetRetireEra(blk, 0)
-	}
-	h.rt.RetireBatch(tid, blks)
 }
 
 // Clear resets the hazard slots used since the previous Clear.
@@ -165,6 +145,3 @@ func (h *HP) Gather(tid int, s *reclaim.Snapshot) {
 func (h *HP) CanFree(tid int, s *reclaim.Snapshot, blk mem.Handle) bool {
 	return !s.HandleReserved(blk)
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (h *HP) Unreclaimed() int { return h.rt.Unreclaimed() }

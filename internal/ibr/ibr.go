@@ -125,53 +125,16 @@ func (ib *IBR) Clear(tid int) {
 	iv.upper.Store(pack.Inf)
 }
 
-// BeginBatch implements reclaim.Scheme: one reservation interval spans the
-// whole batch — GetProtected keeps stretching its upper bound as the era
-// moves, so the open interval covers every block the batch touches. The
-// cost is the same conservatism as one long operation: a wider interval
-// for the scans to respect.
-func (ib *IBR) BeginBatch(tid int) bool {
-	ib.Begin(tid)
-	return true
-}
-
-// EndBatch implements reclaim.Scheme: close the batch's interval.
-func (ib *IBR) EndBatch(tid int) { ib.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: stamp every block with the era
-// read once at submission (monotone, so ≥ each unlink's era — a
-// conservative lifespan) and hand the burst to the runtime's amortized
-// retire path; the retire-driven era advance ticks once per burst through
-// OnRetire.
-func (ib *IBR) RetireBatch(tid int, blks []mem.Handle) {
-	era := ib.globalEra.Load()
-	for _, blk := range blks {
-		ib.arena.SetRetireEra(blk, era)
-	}
-	ib.rt.RetireBatch(tid, blks)
-}
-
 // Alloc stamps the block's birth era and periodically advances the clock.
-func (ib *IBR) Alloc(tid int) mem.Handle {
+// The cadence ticks even when the arena is exhausted, which reports
+// (0, false).
+func (ib *IBR) Alloc(tid int) (mem.Handle, bool) {
 	t := &ib.threads[tid]
 	if t.allocCount%uint64(ib.cfg.EraFreq) == 0 {
 		ib.advanceEra(tid)
 	}
 	t.allocCount++
-	blk := ib.arena.Alloc(tid)
-	ib.arena.SetAllocEra(blk, ib.globalEra.Load())
-	return blk
-}
-
-// TryAlloc is Alloc with backpressure: the era cadence still ticks, but
-// arena exhaustion reports (0, false) instead of panicking.
-func (ib *IBR) TryAlloc(tid int) (mem.Handle, bool) {
-	t := &ib.threads[tid]
-	if t.allocCount%uint64(ib.cfg.EraFreq) == 0 {
-		ib.advanceEra(tid)
-	}
-	t.allocCount++
-	blk, ok := ib.arena.TryAlloc(tid)
+	blk, ok := ib.arena.Alloc(tid)
 	if !ok {
 		return 0, false
 	}
@@ -254,6 +217,3 @@ func intervalReservedLinear(los, his []uint64, birth, retire uint64) bool {
 	}
 	return false
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (ib *IBR) Unreclaimed() int { return ib.rt.Unreclaimed() }

@@ -19,7 +19,7 @@ func newIBR(t *testing.T, threads int) (*IBR, *mem.Arena) {
 
 func TestIntervalOverlapSemantics(t *testing.T) {
 	ib, a := newIBR(t, 1)
-	blk := ib.Alloc(0)
+	blk := mustAlloc(ib, 0)
 	a.SetAllocEra(blk, 10) // lifespan [10, 20]
 	a.SetRetireEra(blk, 20)
 
@@ -100,7 +100,7 @@ func TestGetProtectedStretchesUpper(t *testing.T) {
 	lo := ib.intervals[0].lower.Load()
 	ib.globalEra.Add(7)
 	var root atomic.Uint64
-	blk := ib.Alloc(0)
+	blk := mustAlloc(ib, 0)
 	root.Store(blk)
 	if got := ib.GetProtected(0, &root, 0, 0); got != blk {
 		t.Fatalf("GetProtected = %d", got)
@@ -120,7 +120,7 @@ func TestRetireAdvancesEraWithoutAllocs(t *testing.T) {
 	ib, a := newIBR(t, 1)
 	blks := make([]mem.Handle, 40)
 	for i := range blks {
-		blks[i] = ib.Alloc(0)
+		blks[i] = mustAlloc(ib, 0)
 	}
 	for _, b := range blks {
 		ib.Retire(0, b)
@@ -134,4 +134,14 @@ func TestRetireAdvancesEraWithoutAllocs(t *testing.T) {
 	if freed == 0 {
 		t.Fatal("no blocks reclaimed during a retire-only phase")
 	}
+}
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (mem.Handle, bool) }, tid int) mem.Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
 }

@@ -55,35 +55,9 @@ func (l *Leak) Retire(tid int, blk mem.Handle) {
 // Clear implements reclaim.Scheme.
 func (l *Leak) Clear(tid int) {}
 
-// BeginBatch implements reclaim.Scheme: leaked blocks are never reused, so
-// a batch needs no re-protection between items — a single (empty) span
-// suffices.
-func (l *Leak) BeginBatch(tid int) bool { return true }
-
-// EndBatch implements reclaim.Scheme.
-func (l *Leak) EndBatch(tid int) {}
-
-// RetireBatch leaks the whole burst through the runtime's judge-less
-// counting path — one cadence step, nothing stored.
-func (l *Leak) RetireBatch(tid int, blks []mem.Handle) {
-	for _, blk := range blks {
-		l.arena.SetRetireEra(blk, 0)
-	}
-	l.rt.RetireBatch(tid, blks)
-}
-
-// Alloc implements reclaim.Scheme.
-func (l *Leak) Alloc(tid int) mem.Handle {
+// Alloc implements reclaim.Scheme. Arena exhaustion reports (0, false);
+// for the leak baseline it is terminal — nothing is ever freed — so
+// callers should not retry.
+func (l *Leak) Alloc(tid int) (mem.Handle, bool) {
 	return l.arena.Alloc(tid)
 }
-
-// TryAlloc is Alloc with backpressure: arena exhaustion reports
-// (0, false) instead of panicking. For the leak baseline exhaustion is
-// terminal — nothing is ever freed — so callers should not retry.
-func (l *Leak) TryAlloc(tid int) (mem.Handle, bool) {
-	return l.arena.TryAlloc(tid)
-}
-
-// Unreclaimed reports the total number of leaked blocks. The paper excludes
-// the leak baseline from unreclaimed-object plots; the harness does too.
-func (l *Leak) Unreclaimed() int { return l.rt.Unreclaimed() }

@@ -17,7 +17,7 @@ func TestLeakBaseline(t *testing.T) {
 	}
 
 	var root atomic.Uint64
-	h := l.Alloc(0)
+	h := mustAlloc(l, 0)
 	root.Store(h)
 	l.Begin(0)
 	if got := l.GetProtected(0, &root, 0, 0); got != h {
@@ -26,14 +26,24 @@ func TestLeakBaseline(t *testing.T) {
 	l.Clear(0)
 
 	l.Retire(0, h)
-	l.Retire(1, l.Alloc(1))
+	l.Retire(1, mustAlloc(l, 1))
 	if !a.Live(h) {
 		t.Fatal("leak baseline freed a block")
 	}
-	if l.Unreclaimed() != 2 {
-		t.Fatalf("unreclaimed = %d, want 2", l.Unreclaimed())
+	if l.Retirer().Unreclaimed() != 2 {
+		t.Fatalf("unreclaimed = %d, want 2", l.Retirer().Unreclaimed())
 	}
 	if a.Stats().Frees != 0 {
 		t.Fatal("leak baseline performed frees")
 	}
+}
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (mem.Handle, bool) }, tid int) mem.Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
 }

@@ -34,7 +34,7 @@ import (
 // armed they let the chaos harness script allocation failure and refill
 // starvation deterministically.
 var (
-	// fpAlloc fires inside TryAlloc: an injected error makes the
+	// fpAlloc fires inside Alloc: an injected error makes the
 	// allocation report exhaustion even when slots remain.
 	fpAlloc = failpoint.New("arena-alloc")
 	// fpRefill fires at refill entry: an injected error makes the miss
@@ -67,7 +67,6 @@ type slot struct {
 	state     atomic.Uint32
 	version   atomic.Uint32
 	words     [NumWords]atomic.Uint64
-	key       uint64        // immutable after publication
 	val       atomic.Uint64 // mutable value payload
 	// nextFree is the free-list link. It is written only by the slot's
 	// current owner (the freeing thread building its cache, or the
@@ -177,14 +176,14 @@ func (a *Arena) slot(h Handle) *slot {
 	return &a.slots[h-1]
 }
 
-// TryAlloc returns a fresh live slot for thread tid, reusing freed slots
+// Alloc returns a fresh live slot for thread tid, reusing freed slots
 // when available, or (0, false) when the arena is exhausted: tid's free
 // cache is empty, the global segment list has nothing to refill from, and
 // the bump region is spent. Exhaustion is a backpressure signal, not a
 // verdict — retired-but-unscanned blocks may become free after the next
 // reclamation scan, which is exactly what the Domain's emergency
 // allocation pipeline arranges before giving up.
-func (a *Arena) TryAlloc(tid int) (Handle, bool) {
+func (a *Arena) Alloc(tid int) (Handle, bool) {
 	if err := fpAlloc.Eval(tid); err != nil {
 		return 0, false
 	}
@@ -208,18 +207,6 @@ func (a *Arena) TryAlloc(tid int) (Handle, bool) {
 	a.makeLive(h, a.slot(h))
 	t.allocs.Add(1)
 	return h, true
-}
-
-// Alloc is TryAlloc for callers that pre-size: it panics when the arena
-// is exhausted. Size the arena for the workload (leak-baseline runs in
-// particular must cover every allocation), or use TryAlloc and handle
-// the pressure.
-func (a *Arena) Alloc(tid int) Handle {
-	h, ok := a.TryAlloc(tid)
-	if !ok {
-		panic(fmt.Sprintf("mem: arena exhausted (capacity %d); size the arena for the workload", a.cap))
-	}
-	return h
 }
 
 func (a *Arena) makeLive(h Handle, s *slot) {
@@ -438,18 +425,6 @@ func (a *Arena) CASWord(h Handle, i int, old, new uint64) bool {
 func (a *Arena) WordAddr(h Handle, i int) *atomic.Uint64 {
 	a.check(h, "WordAddr")
 	return &a.slot(h).words[i]
-}
-
-// Key returns the slot's immutable key.
-func (a *Arena) Key(h Handle) uint64 {
-	a.check(h, "Key")
-	return a.slot(h).key
-}
-
-// SetKey initialises the key. It must happen before the node is published.
-func (a *Arena) SetKey(h Handle, k uint64) {
-	a.check(h, "SetKey")
-	a.slot(h).key = k
 }
 
 // Val returns the slot's value payload.

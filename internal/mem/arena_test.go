@@ -12,18 +12,18 @@ func newTestArena(capacity, threads int) *Arena {
 
 func TestAllocFreeReuse(t *testing.T) {
 	a := newTestArena(16, 1)
-	h1 := a.Alloc(0)
+	h1 := mustAlloc(a, 0)
 	if h1 == 0 {
 		t.Fatal("nil handle from Alloc")
 	}
-	a.SetKey(h1, 42)
-	if a.Key(h1) != 42 {
-		t.Fatal("key lost")
+	a.StoreWord(h1, 0, 42)
+	if a.LoadWord(h1, 0) != 42 {
+		t.Fatal("word lost")
 	}
 	v1 := a.Version(h1)
 	a.SetRetireEra(h1, 1)
 	a.Free(0, h1)
-	h2 := a.Alloc(0)
+	h2 := mustAlloc(a, 0)
 	if h2 != h1 {
 		t.Fatalf("expected slot reuse, got %d then %d", h1, h2)
 	}
@@ -34,7 +34,7 @@ func TestAllocFreeReuse(t *testing.T) {
 
 func TestDoubleFreePanics(t *testing.T) {
 	a := newTestArena(4, 1)
-	h := a.Alloc(0)
+	h := mustAlloc(a, 0)
 	a.Free(0, h)
 	defer func() {
 		if recover() == nil {
@@ -46,7 +46,7 @@ func TestDoubleFreePanics(t *testing.T) {
 
 func TestUseAfterFreePanics(t *testing.T) {
 	a := newTestArena(4, 1)
-	h := a.Alloc(0)
+	h := mustAlloc(a, 0)
 	a.StoreWord(h, 0, 7)
 	a.Free(0, h)
 	defer func() {
@@ -59,7 +59,7 @@ func TestUseAfterFreePanics(t *testing.T) {
 
 func TestPoisonOnFree(t *testing.T) {
 	a := newTestArena(4, 1)
-	h := a.Alloc(0)
+	h := mustAlloc(a, 0)
 	a.StoreWord(h, 2, 12345)
 	a.SetRetireEra(h, 1) // published: the retired→free path poisons
 	a.Free(0, h)
@@ -75,7 +75,7 @@ func TestFastFreeSkipsPoisonButDetectsDoubleFree(t *testing.T) {
 	// so debug mode skips the NumWords poison stores — but the state
 	// machine must still catch a double free of it.
 	a := newTestArena(4, 1)
-	h := a.Alloc(0)
+	h := mustAlloc(a, 0)
 	a.StoreWord(h, 1, 42)
 	a.SetVal(h, 7)
 	a.Free(0, h)
@@ -93,22 +93,27 @@ func TestFastFreeSkipsPoisonButDetectsDoubleFree(t *testing.T) {
 	a.Free(0, h)
 }
 
+// TestExhaustionPanics checks that an exhausted arena reports (0, false)
+// and that the must-allocate path pre-sized callers use panics on it.
 func TestExhaustionPanics(t *testing.T) {
 	a := newTestArena(3, 1)
 	for i := 0; i < 3; i++ {
-		a.Alloc(0)
+		mustAlloc(a, 0)
+	}
+	if h, ok := a.Alloc(0); ok || h != 0 {
+		t.Fatalf("exhausted arena allocated: (%d, %v)", h, ok)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("exhausted arena did not panic")
+			t.Fatal("must-allocate on an exhausted arena did not panic")
 		}
 	}()
-	a.Alloc(0)
+	mustAlloc(a, 0)
 }
 
 func TestRetireStateMachine(t *testing.T) {
 	a := newTestArena(4, 1)
-	h := a.Alloc(0)
+	h := mustAlloc(a, 0)
 	a.SetAllocEra(h, 5)
 	a.SetRetireEra(h, 9)
 	if a.AllocEra(h) != 5 || a.RetireEra(h) != 9 {
@@ -122,7 +127,7 @@ func TestRetireStateMachine(t *testing.T) {
 		t.Fatal("freed slot reported live")
 	}
 	// Re-allocating must reset the retire era.
-	h2 := a.Alloc(0)
+	h2 := mustAlloc(a, 0)
 	if a.RetireEra(h2) != 0 {
 		t.Fatal("retire era not reset on reuse")
 	}
@@ -130,8 +135,8 @@ func TestRetireStateMachine(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	a := newTestArena(16, 2)
-	h := a.Alloc(0)
-	a.Alloc(1)
+	h := mustAlloc(a, 0)
+	mustAlloc(a, 1)
 	a.SetRetireEra(h, 1)
 	a.Free(1, h)
 	st := a.Stats()
@@ -142,7 +147,7 @@ func TestStats(t *testing.T) {
 
 func TestCASWordAndVal(t *testing.T) {
 	a := newTestArena(4, 1)
-	h := a.Alloc(0)
+	h := mustAlloc(a, 0)
 	a.StoreWord(h, 0, 10)
 	if a.CASWord(h, 0, 11, 12) {
 		t.Fatal("CAS with wrong expected succeeded")
@@ -174,8 +179,8 @@ func TestConcurrentAllocFree(t *testing.T) {
 					}
 					live = live[:0]
 				}
-				h := a.Alloc(tid)
-				a.SetKey(h, uint64(tid))
+				h := mustAlloc(a, tid)
+				a.StoreWord(h, 0, uint64(tid))
 				live = append(live, h)
 			}
 			for _, h := range live {
@@ -203,7 +208,7 @@ func TestGlobalSpillBatched(t *testing.T) {
 	a := New(Config{Capacity: capacity, MaxThreads: 2, Debug: true, SpillSize: spill})
 	hs := make([]Handle, 0, capacity)
 	for i := 0; i < capacity; i++ {
-		hs = append(hs, a.Alloc(0))
+		hs = append(hs, mustAlloc(a, 0))
 	}
 	for _, h := range hs {
 		a.SetRetireEra(h, 1)
@@ -215,7 +220,7 @@ func TestGlobalSpillBatched(t *testing.T) {
 	}
 	seen := make(map[Handle]bool)
 	for i := 0; i < spill; i++ {
-		h := a.Alloc(1)
+		h := mustAlloc(a, 1)
 		if seen[h] {
 			t.Fatalf("slot %d handed out twice", h)
 		}
@@ -235,7 +240,7 @@ func TestCensusAccountsEverySlot(t *testing.T) {
 	a := New(Config{Capacity: 64, MaxThreads: 2, Debug: true, SpillSize: spill})
 	var live []Handle
 	for i := 0; i < 40; i++ {
-		live = append(live, a.Alloc(0))
+		live = append(live, mustAlloc(a, 0))
 	}
 	for _, h := range live[8:] { // 32 frees: one spill segment + 24 cached
 		a.SetRetireEra(h, 1)
@@ -278,7 +283,7 @@ func TestCensusInvariantUnderChurn(t *testing.T) {
 			go func(tid int) {
 				defer wg.Done()
 				for i := 0; i < perRound; i++ {
-					h := a.Alloc(tid)
+					h := mustAlloc(a, tid)
 					a.SetRetireEra(h, 1)
 					ch <- h
 				}
@@ -325,7 +330,7 @@ func TestAllocFreeBalanceQuick(t *testing.T) {
 				if len(live) >= 1000 {
 					continue
 				}
-				h := a.Alloc(0)
+				h := mustAlloc(a, 0)
 				for _, l := range live {
 					if l == h {
 						return false
@@ -365,7 +370,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 
 func TestVersionMonotonicAcrossReuse(t *testing.T) {
 	a := newTestArena(4, 1)
-	h := a.Alloc(0)
+	h := mustAlloc(a, 0)
 	var last uint32
 	for i := 0; i < 50; i++ {
 		v := a.Version(h)
@@ -375,7 +380,7 @@ func TestVersionMonotonicAcrossReuse(t *testing.T) {
 		last = v
 		a.SetRetireEra(h, 1)
 		a.Free(0, h)
-		h2 := a.Alloc(0)
+		h2 := mustAlloc(a, 0)
 		if h2 != h {
 			t.Fatalf("expected slot reuse, got %d", h2)
 		}
@@ -404,7 +409,7 @@ func TestConcurrentGlobalSpillStress(t *testing.T) {
 			local := make([]Handle, 0, batch)
 			for round := 0; round < 8; round++ {
 				for i := 0; i < batch; i++ {
-					local = append(local, a.Alloc(tid))
+					local = append(local, mustAlloc(a, tid))
 				}
 				for _, h := range local {
 					a.Free(tid, h)
@@ -417,4 +422,14 @@ func TestConcurrentGlobalSpillStress(t *testing.T) {
 	if got := a.Stats().InUse; got != 0 {
 		t.Fatalf("in use = %d after balanced stress", got)
 	}
+}
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (Handle, bool) }, tid int) Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
 }

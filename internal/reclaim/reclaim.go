@@ -41,56 +41,29 @@ type Scheme interface {
 
 	// Clear resets all reservations made by the thread (paper: clear()).
 	// Data structures call it at the end of every operation.
+	//
+	// A batch of operations is one Begin…Clear span on every scheme:
+	// reservations made by earlier items stay published until the final
+	// Clear. That only keeps blocks alive longer — each GetProtected still
+	// publishes and validates its own reservation — so a batch is as safe
+	// as one long operation. Under HP the items reuse the same slot
+	// indices, so at most MaxHEs extra nodes wait for the batch to end.
 	Clear(tid int)
 
-	// BeginBatch opens one protection span intended to cover a whole burst
-	// of operations, and reports whether that single span suffices.
-	// Era-, epoch- and interval-clocked schemes (EBR, HE, WFE, 2GEIBR,
-	// WFE-IBR) return true: one announced epoch or reservation interval
-	// covers every block protected inside the span, so the batch runner may
-	// keep it open across items. Identity schemes (HP) return false — a
-	// hazard slot protects exactly one node, so the runner must still Clear
-	// between items to rotate hazard slots per node, exactly as in the
-	// per-op path. Encoding the distinction here keeps call sites free of
-	// per-scheme special cases.
-	BeginBatch(tid int) bool
-
-	// EndBatch closes the span opened by BeginBatch, resetting every
-	// reservation the batch made (the batch-wide Clear).
-	EndBatch(tid int)
-
-	// RetireBatch retires every block of an operation burst at once: each
-	// block is era-stamped and queued like Retire would, but the
-	// scan-gating retirement counter advances once for the whole batch, so
-	// the cleanup cadence stays amortized across the burst instead of
-	// firing mid-batch. Stamping every block with the clock value read at
-	// submission is safe: the clock is monotone, so that value is ≥ the
-	// clock at each block's unlink and the stamp only over-approximates
-	// the block's lifespan.
-	RetireBatch(tid int, blks []mem.Handle)
-
 	// Alloc allocates a block and stamps its allocation era
-	// (paper: alloc_block()). It panics when the arena is exhausted;
-	// callers that can degrade gracefully use TryAlloc.
-	Alloc(tid int) mem.Handle
-
-	// TryAlloc is Alloc with backpressure: it returns (0, false) instead
-	// of panicking when the arena is exhausted, after running the same
-	// era-clock bookkeeping Alloc would. The Domain's emergency
-	// reclamation pipeline sits on top of it.
-	TryAlloc(tid int) (mem.Handle, bool)
-
-	// Unreclaimed reports the number of retired-but-not-yet-freed blocks,
-	// the paper's reclamation-speed metric. The snapshot may be approximate
-	// under concurrency.
-	Unreclaimed() int
+	// (paper: alloc_block()). It reports (0, false) when the arena is
+	// exhausted, after running the same era-clock bookkeeping a
+	// successful allocation would; the Domain's emergency reclamation
+	// pipeline sits on top of it.
+	Alloc(tid int) (mem.Handle, bool)
 
 	// Arena exposes the underlying block arena.
 	Arena() *mem.Arena
 
 	// Retirer exposes the scheme's shared retire-side runtime — the one
 	// path through which the Domain and harness layers read the uniform
-	// retire/cleanup/step telemetry every scheme now reports.
+	// retire/cleanup/step telemetry every scheme reports (Unreclaimed,
+	// MaxSteps, Stats) and bracket retire bursts (BeginBurst/EndBurst).
 	Retirer() *Retirer
 }
 

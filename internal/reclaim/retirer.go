@@ -48,10 +48,11 @@ type PreScanner interface {
 }
 
 // A RetireObserver is a Judge whose era clock ticks on retirement: OnRetire
-// runs on every retirement after blk joins the retire list and before any
-// gated scan, with n the thread's 0-based retirement ordinal. The interval
-// schemes gate their retire-driven era advance on n here, so retire-only
-// phases still make reclamation progress.
+// runs on every cadence step — each retirement, or once per burst — after
+// blk joins the retire list and before any gated scan, with n the
+// thread's 0-based cadence-step ordinal. The interval schemes gate their
+// retire-driven era advance on n here, so retire-only phases still make
+// reclamation progress.
 type RetireObserver interface {
 	OnRetire(tid int, n uint64, blk mem.Handle)
 }
@@ -82,9 +83,15 @@ type ScanStats struct {
 // cross-thread.
 type retireThread struct {
 	ring  ring
-	count uint64 // retirements; gates the scan cadence
-	hist  StepHist
-	stats ScanStats
+	count uint64 // cadence steps; gates the scan cadence
+	// Burst state (BeginBurst/EndBurst): while burst is set, Retire
+	// defers the cadence; burstN and burstLast describe the retires so
+	// far.
+	burst     bool
+	burstN    int
+	burstLast mem.Handle
+	hist      StepHist
+	stats     ScanStats
 	// Reusable scan scratch: the two phase snapshots and the candidate
 	// list blocks cleared by phase one await phase two on.
 	snap      Snapshot
@@ -174,17 +181,52 @@ func (r *Retirer) Judged() bool { return r.judge != nil }
 // retirements — PreScan followed by a cleanup scan. The very first
 // retirement of a tid is on the cadence (count 0), matching the paper's
 // retire() which scans when the counter is a CleanupFreq multiple.
+// Inside a burst (BeginBurst) the block is pushed and published but the
+// cadence waits for EndBurst.
 func (r *Retirer) Retire(tid int, blk mem.Handle) {
 	t := &r.threads[tid]
 	r.tracer.Emit(tid, trace.KindRetire, blk, 0)
 	if r.judge == nil {
-		t.count++
 		t.ring.published.Add(1) // leaked, by design; nothing is stored
+	} else {
+		t.ring.push(blk)
+		t.ring.publish()
+	}
+	if t.burst {
+		t.burstN++
+		t.burstLast = blk
 		return
 	}
-	t.ring.push(blk)
-	t.ring.publish()
+	r.cadence(tid, t, blk)
+}
+
+// BeginBurst opens a retire burst on tid: until EndBurst, Retire queues
+// blocks without running the cadence. Owner-thread only.
+func (r *Retirer) BeginBurst(tid int) { r.threads[tid].burst = true }
+
+// EndBurst closes tid's burst and returns how many blocks it retired. A
+// burst that retired anything runs the cadence once, on its last block,
+// and ticks the scan-gating counter once: a burst of B retires costs one
+// cadence step instead of B, so cleanup fires once per CleanupFreq
+// bursts rather than mid-burst. This is the retire-side half of the
+// batched-operations amortization.
+func (r *Retirer) EndBurst(tid int) int {
+	t := &r.threads[tid]
+	n := t.burstN
+	t.burst, t.burstN = false, 0
+	if n > 0 {
+		r.cadence(tid, t, t.burstLast)
+	}
+	return n
+}
+
+// cadence is one step of the retire cadence, triggered by blk.
+func (r *Retirer) cadence(tid int, t *retireThread, blk mem.Handle) {
 	n := t.count
+	t.count++
+	if r.judge == nil {
+		return
+	}
 	if r.obs != nil {
 		r.obs.OnRetire(tid, n, blk)
 	}
@@ -200,46 +242,6 @@ func (r *Retirer) Retire(tid int, blk mem.Handle) {
 		}
 		r.Scan(tid)
 	}
-	t.count++
-}
-
-// RetireBatch appends every block in blks to tid's retire ring as one
-// burst: the blocks are pushed and published together, the cadence hooks
-// (OnRetire, PreScan, the gated Scan) run at most once, and the
-// scan-gating retirement counter advances by one for the whole batch.
-// This is the retire-side half of the batched-operations amortization:
-// a burst of B retires costs one cadence step instead of B, so cleanup
-// keeps firing once per CleanupFreq bursts rather than mid-burst.
-func (r *Retirer) RetireBatch(tid int, blks []mem.Handle) {
-	if len(blks) == 0 {
-		return
-	}
-	t := &r.threads[tid]
-	if r.judge == nil {
-		for _, blk := range blks {
-			r.tracer.Emit(tid, trace.KindRetire, blk, 0)
-		}
-		t.count++
-		t.ring.published.Add(int64(len(blks))) // leaked, by design
-		return
-	}
-	for _, blk := range blks {
-		r.tracer.Emit(tid, trace.KindRetire, blk, 0)
-		t.ring.push(blk)
-	}
-	t.ring.publish()
-	n := t.count
-	last := blks[len(blks)-1]
-	if r.obs != nil {
-		r.obs.OnRetire(tid, n, last)
-	}
-	if n%r.cleanupFreq == 0 || r.arena.Pressured() {
-		if r.pre != nil {
-			r.pre.PreScan(tid, last)
-		}
-		r.Scan(tid)
-	}
-	t.count++
 }
 
 // Add appends blk to tid's retire ring without the cadence bookkeeping: no

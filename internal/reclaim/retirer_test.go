@@ -41,7 +41,7 @@ func TestRetirerGatingCadence(t *testing.T) {
 	r := NewRetirer(a, Config{MaxThreads: 1, CleanupFreq: 10}, j)
 
 	for i := 0; i < 25; i++ {
-		r.Retire(0, a.Alloc(0))
+		r.Retire(0, mustAlloc(a, 0))
 	}
 	// Scans fire at retirement ordinals 0, 10 and 20 — the paper's
 	// counter-is-a-multiple cadence, first retirement included.
@@ -62,6 +62,65 @@ func TestRetirerGatingCadence(t *testing.T) {
 	}
 }
 
+// TestRetirerBurstDefersCadence drives bursts through the one Retire
+// path: inside a burst every block is queued and published at once, but
+// the cadence — OnRetire, the gated scan, the counter — steps once, at
+// EndBurst, on the burst's last block.
+func TestRetirerBurstDefersCadence(t *testing.T) {
+	a := testArena(t, 1<<10, 1)
+	j := &observingJudge{}
+	r := NewRetirer(a, Config{MaxThreads: 1, CleanupFreq: 2}, j)
+
+	var last mem.Handle
+	for burst := 0; burst < 3; burst++ {
+		before := r.Unreclaimed()
+		r.BeginBurst(0)
+		for i := 0; i < 8; i++ {
+			last = mustAlloc(a, 0)
+			r.Retire(0, last)
+		}
+		if got := r.Unreclaimed(); got != before+8 {
+			t.Fatalf("burst %d: Unreclaimed = %d mid-burst, want %d published", burst, got, before+8)
+		}
+		if got := j.gathers.Load(); got != int64(burst+1)/2 {
+			t.Fatalf("burst %d: %d scans before EndBurst, want %d", burst, got, (burst+1)/2)
+		}
+		if n := r.EndBurst(0); n != 8 {
+			t.Fatalf("EndBurst = %d, want 8", n)
+		}
+		if j.lastBlk != last || j.lastN != uint64(burst) {
+			t.Fatalf("burst %d: OnRetire(n=%d, blk=%d), want n=%d on the last block %d",
+				burst, j.lastN, j.lastBlk, burst, last)
+		}
+	}
+	// Cadence steps 0 and 2 scan at CleanupFreq 2, freeing everything.
+	if got := j.gathers.Load(); got != 2 {
+		t.Fatalf("gathers = %d over 3 bursts at CleanupFreq 2, want 2", got)
+	}
+	if got := r.EndBurst(0); got != 0 {
+		t.Fatalf("EndBurst with no burst open = %d, want 0", got)
+	}
+	// Outside a burst the per-retire cadence is back: step 3 does not
+	// scan, step 4 does.
+	r.Retire(0, mustAlloc(a, 0))
+	r.Retire(0, mustAlloc(a, 0))
+	if got := j.gathers.Load(); got != 3 || r.Unreclaimed() != 0 {
+		t.Fatalf("after two plain retires: gathers %d, backlog %d; want 3 and 0", got, r.Unreclaimed())
+	}
+}
+
+// observingJudge is a free-everything Judge that records its OnRetire
+// calls.
+type observingJudge struct {
+	fakeJudge
+	lastN   uint64
+	lastBlk mem.Handle
+}
+
+func (j *observingJudge) OnRetire(tid int, n uint64, blk mem.Handle) {
+	j.lastN, j.lastBlk = n, blk
+}
+
 func TestRetirerScanFreesAndRequeues(t *testing.T) {
 	a := testArena(t, 1<<10, 1)
 	// Free the blocks whose retire era is at or below the moving gate.
@@ -73,7 +132,7 @@ func TestRetirerScanFreesAndRequeues(t *testing.T) {
 
 	var freeable, pinned []mem.Handle
 	for i := 0; i < 8; i++ {
-		f, p := a.Alloc(0), a.Alloc(0)
+		f, p := mustAlloc(a, 0), mustAlloc(a, 0)
 		a.SetRetireEra(f, 1)
 		a.SetRetireEra(p, 2)
 		r.Add(0, f)
@@ -169,7 +228,7 @@ func TestRetirerTwoPhase(t *testing.T) {
 
 	var odd, even []mem.Handle
 	for i := 0; i < 6; i++ {
-		blk := a.Alloc(0)
+		blk := mustAlloc(a, 0)
 		a.SetRetireEra(blk, uint64(i))
 		r.Add(0, blk)
 		if i%2 == 1 {
@@ -201,7 +260,7 @@ func TestRetirerNilJudgeCountsOnly(t *testing.T) {
 	a := testArena(t, 1<<8, 1)
 	r := NewRetirer(a, Config{MaxThreads: 1, CleanupFreq: 1}, nil)
 	for i := 0; i < 10; i++ {
-		r.Retire(0, a.Alloc(0))
+		r.Retire(0, mustAlloc(a, 0))
 	}
 	if r.Unreclaimed() != 10 {
 		t.Fatalf("Unreclaimed = %d, want 10 (leak mode counts)", r.Unreclaimed())
@@ -290,7 +349,7 @@ func TestRetireRingShrinkOnSettle(t *testing.T) {
 	r := NewRetirer(a, Config{MaxThreads: 1, CleanupFreq: 1 << 30}, j)
 
 	for i := 0; i < spike; i++ {
-		r.Add(0, a.Alloc(0))
+		r.Add(0, mustAlloc(a, 0))
 	}
 	r.Scan(0) // judges all, frees none: the ring is at its churn highwater
 	q := &r.threads[0].ring
@@ -317,7 +376,7 @@ func TestRetireRingShrinkOnSettle(t *testing.T) {
 	for len(q.buf) > minRingCap {
 		capBefore := len(q.buf)
 		for i := 0; i < shrinkAfter; i++ {
-			blk := a.Alloc(0)
+			blk := mustAlloc(a, 0)
 			pinned = append(pinned, blk)
 			r.Add(0, blk)
 			r.Scan(0)
@@ -349,7 +408,7 @@ func TestRetireRingShrinkOnSettle(t *testing.T) {
 	// A re-spike must still be absorbed: the shrunk ring grows again.
 	free = false
 	for i := 0; i < spike; i++ {
-		r.Add(0, a.Alloc(0))
+		r.Add(0, mustAlloc(a, 0))
 	}
 	if q.len() != spike {
 		t.Fatalf("re-spike lost entries: len %d, want %d", q.len(), spike)
@@ -365,7 +424,7 @@ func TestRetirerProbe(t *testing.T) {
 	for tid := 0; tid < 2; tid++ {
 		for i := 0; i < 10; i++ {
 			r.RecordSteps(tid, uint64(i%3)+1)
-			r.Retire(tid, a.Alloc(tid))
+			r.Retire(tid, mustAlloc(a, tid))
 		}
 	}
 	p := r.Probe()
@@ -421,7 +480,7 @@ func TestRetirerConcurrentChurn(t *testing.T) {
 		go func(tid int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				blk := a.Alloc(tid)
+				blk := mustAlloc(a, tid)
 				a.SetRetireEra(blk, uint64(i))
 				gate.Store(uint64(i))
 				r.RecordSteps(tid, uint64(i%5)+1)
@@ -450,4 +509,14 @@ func TestRetirerConcurrentChurn(t *testing.T) {
 	if q := r.StepQuantile(0.99); q == 0 || q > 5 {
 		t.Fatalf("p99 steps = %d, want in [1,5]", q)
 	}
+}
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (mem.Handle, bool) }, tid int) mem.Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
 }

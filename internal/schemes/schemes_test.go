@@ -55,16 +55,16 @@ func TestLifecycle(t *testing.T) {
 			var root atomic.Uint64
 
 			s.Begin(0)
-			h := s.Alloc(0)
-			a.SetKey(h, 77)
+			h := mustAlloc(s, 0)
+			a.StoreWord(h, keyWord, 77)
 			root.Store(h)
 
 			got := s.GetProtected(0, &root, 0, 0)
 			if got != h {
 				t.Fatalf("GetProtected = %d, want %d", got, h)
 			}
-			if a.Key(got) != 77 {
-				t.Fatalf("key = %d", a.Key(got))
+			if a.LoadWord(got, keyWord) != 77 {
+				t.Fatalf("key = %d", a.LoadWord(got, keyWord))
 			}
 			root.Store(0) // unlink
 			s.Retire(0, h)
@@ -74,12 +74,12 @@ func TestLifecycle(t *testing.T) {
 			// scratch blocks to trigger cleanups and epoch/era advances.
 			for i := 0; i < 200 && a.Live(h); i++ {
 				s.Begin(0)
-				x := s.Alloc(0)
+				x := mustAlloc(s, 0)
 				s.Retire(0, x)
 				s.Clear(0)
 			}
 			if a.Live(h) {
-				t.Fatalf("block never reclaimed (unreclaimed=%d)", s.Unreclaimed())
+				t.Fatalf("block never reclaimed (unreclaimed=%d)", s.Retirer().Unreclaimed())
 			}
 		})
 	}
@@ -95,8 +95,8 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 2, CleanupFreq: 1, EraFreq: 1})
 			var root atomic.Uint64
 
-			h := s.Alloc(1)
-			a.SetKey(h, 123)
+			h := mustAlloc(s, 1)
+			a.StoreWord(h, keyWord, 123)
 			root.Store(h)
 
 			// Thread 0 protects h.
@@ -111,13 +111,13 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			s.Retire(1, h)
 			for i := 0; i < 300; i++ {
 				s.Begin(1)
-				x := s.Alloc(1)
+				x := mustAlloc(s, 1)
 				s.Retire(1, x)
 				s.Clear(1)
 				if !a.Live(h) {
 					t.Fatalf("block freed while protected (iteration %d)", i)
 				}
-				if a.Key(h) != 123 {
+				if a.LoadWord(h, keyWord) != 123 {
 					t.Fatalf("protected block corrupted")
 				}
 			}
@@ -126,7 +126,7 @@ func TestProtectionBlocksReclamation(t *testing.T) {
 			s.Clear(0)
 			for i := 0; i < 300 && a.Live(h); i++ {
 				s.Begin(1)
-				x := s.Alloc(1)
+				x := mustAlloc(s, 1)
 				s.Retire(1, x)
 				s.Clear(1)
 			}
@@ -152,13 +152,13 @@ func TestStepHistogramsAllSchemes(t *testing.T) {
 			// era/interval protect loops must take re-publication steps.
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 2, CleanupFreq: 4, EraFreq: 1})
 			var root atomic.Uint64
-			root.Store(s.Alloc(1))
+			root.Store(mustAlloc(s, 1))
 			for i := 0; i < 200; i++ {
 				s.Begin(0)
 				s.GetProtected(0, &root, 0, 0)
 				s.Clear(0)
 				s.Begin(1)
-				old := root.Swap(s.Alloc(1))
+				old := root.Swap(mustAlloc(s, 1))
 				s.Retire(1, pack.Handle(old))
 				s.Clear(1)
 			}
@@ -184,7 +184,7 @@ func TestLeakNeverFrees(t *testing.T) {
 	s := mustNew(t, "Leak", a, reclaim.Config{MaxThreads: 1})
 	hs := make([]mem.Handle, 0, 100)
 	for i := 0; i < 100; i++ {
-		h := s.Alloc(0)
+		h := mustAlloc(s, 0)
 		hs = append(hs, h)
 		s.Retire(0, h)
 	}
@@ -193,8 +193,8 @@ func TestLeakNeverFrees(t *testing.T) {
 			t.Fatal("leak baseline freed a block")
 		}
 	}
-	if s.Unreclaimed() != 100 {
-		t.Fatalf("unreclaimed = %d, want 100", s.Unreclaimed())
+	if s.Retirer().Unreclaimed() != 100 {
+		t.Fatalf("unreclaimed = %d, want 100", s.Retirer().Unreclaimed())
 	}
 }
 
@@ -220,8 +220,8 @@ func TestConcurrentChurn(t *testing.T) {
 
 			var slots [bank]atomic.Uint64
 			for i := range slots {
-				h := s.Alloc(0)
-				a.SetKey(h, h)
+				h := mustAlloc(s, 0)
+				a.StoreWord(h, keyWord, h)
 				slots[i].Store(h)
 			}
 
@@ -241,13 +241,13 @@ func TestConcurrentChurn(t *testing.T) {
 						if rng&1 == 0 { // reader
 							v := s.GetProtected(tid, src, 0, 0)
 							if h := pack.Handle(v); h != 0 {
-								if a.Key(h) != h {
+								if a.LoadWord(h, keyWord) != h {
 									panic("observed corrupted node")
 								}
 							}
 						} else { // replacer
-							n := s.Alloc(tid)
-							a.SetKey(n, n)
+							n := mustAlloc(s, tid)
+							a.StoreWord(n, keyWord, n)
 							old := src.Swap(n)
 							if h := pack.Handle(old); h != 0 {
 								s.Retire(tid, h)
@@ -271,25 +271,25 @@ func TestEBRStallBlocksReclamation(t *testing.T) {
 
 	s.Begin(0) // thread 0 stalls: active, never clears
 
-	before := s.Unreclaimed()
+	before := s.Retirer().Unreclaimed()
 	for i := 0; i < 500; i++ {
 		s.Begin(1)
-		x := s.Alloc(1)
+		x := mustAlloc(s, 1)
 		s.Retire(1, x)
 		s.Clear(1)
 	}
-	if got := s.Unreclaimed(); got < before+400 {
+	if got := s.Retirer().Unreclaimed(); got < before+400 {
 		t.Fatalf("EBR reclaimed despite stalled thread: unreclaimed=%d", got)
 	}
 
 	s.Clear(0) // stall ends
 	for i := 0; i < 50; i++ {
 		s.Begin(1)
-		x := s.Alloc(1)
+		x := mustAlloc(s, 1)
 		s.Retire(1, x)
 		s.Clear(1)
 	}
-	if got := s.Unreclaimed(); got > 100 {
+	if got := s.Retirer().Unreclaimed(); got > 100 {
 		t.Fatalf("EBR failed to catch up after stall: unreclaimed=%d", got)
 	}
 }
@@ -304,7 +304,7 @@ func TestBoundedSchemesTolerateStall(t *testing.T) {
 			s := mustNew(t, name, a, reclaim.Config{MaxThreads: 2, CleanupFreq: 1, EraFreq: 1})
 
 			var root atomic.Uint64
-			h := s.Alloc(1)
+			h := mustAlloc(s, 1)
 			root.Store(h)
 
 			// Thread 0 stalls holding one protected block.
@@ -313,11 +313,11 @@ func TestBoundedSchemesTolerateStall(t *testing.T) {
 
 			for i := 0; i < 500; i++ {
 				s.Begin(1)
-				x := s.Alloc(1)
+				x := mustAlloc(s, 1)
 				s.Retire(1, x)
 				s.Clear(1)
 			}
-			if got := s.Unreclaimed(); got > 100 {
+			if got := s.Retirer().Unreclaimed(); got > 100 {
 				t.Fatalf("%s: unreclaimed grew to %d despite stalled reader", name, got)
 			}
 			if !a.Live(h) {
@@ -338,8 +338,8 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 	s := mustNew(t, "WFE", a, reclaim.Config{MaxThreads: 2, EraFreq: 1, CleanupFreq: 1, MaxAttempts: 4})
 
 	var root atomic.Uint64
-	h := s.Alloc(1)
-	a.SetKey(h, 99)
+	h := mustAlloc(s, 1)
+	a.StoreWord(h, keyWord, 99)
 	root.Store(h)
 
 	stop := make(chan struct{})
@@ -351,7 +351,7 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 				return
 			default:
 			}
-			x := s.Alloc(1)
+			x := mustAlloc(s, 1)
 			s.Retire(1, x)
 			stormOps.Add(1)
 		}
@@ -364,7 +364,7 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 		if got != h {
 			t.Fatalf("GetProtected = %d, want %d", got, h)
 		}
-		if a.Key(got) != 99 {
+		if a.LoadWord(got, keyWord) != 99 {
 			t.Fatal("protected block corrupted")
 		}
 		s.Clear(0)
@@ -376,3 +376,17 @@ func TestWaitFreeProgressUnderEraStorm(t *testing.T) {
 			reads, stormOps.Load())
 	}
 }
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (mem.Handle, bool) }, tid int) mem.Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
+}
+
+// keyWord is the payload word the tests stamp a marker into before
+// publishing a block, to detect a reader observing a recycled block.
+const keyWord = 0

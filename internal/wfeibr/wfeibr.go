@@ -143,32 +143,6 @@ func (w *WFEIBR) Clear(tid int) {
 	iv.upper.Store(pack.Inf)
 }
 
-// BeginBatch implements reclaim.Scheme: one reservation interval spans the
-// whole batch, exactly as in 2GEIBR — GetProtected (fast or slow path)
-// keeps raising the upper bound, so the open interval covers every block
-// the batch touches. Helpers interact with the interval only by raising
-// its upper bound, which batching does not change.
-func (w *WFEIBR) BeginBatch(tid int) bool {
-	w.Begin(tid)
-	return true
-}
-
-// EndBatch implements reclaim.Scheme: close the batch's interval.
-func (w *WFEIBR) EndBatch(tid int) { w.Clear(tid) }
-
-// RetireBatch implements reclaim.Scheme: stamp every block with the era
-// read once at submission (monotone, so ≥ each unlink's era — a
-// conservative lifespan) and hand the burst to the runtime's amortized
-// retire path; the retire-driven era advance ticks once per burst through
-// OnRetire, via the helping path.
-func (w *WFEIBR) RetireBatch(tid int, blks []mem.Handle) {
-	era := w.globalEra.Load()
-	for _, blk := range blks {
-		w.arena.SetRetireEra(blk, era)
-	}
-	w.rt.RetireBatch(tid, blks)
-}
-
 // raiseUpper monotonically lifts an interval's upper bound to at least e.
 // Raising is always conservative, so competing raises need no tags.
 func raiseUpper(iv *interval, e uint64) {
@@ -327,26 +301,15 @@ func (w *WFEIBR) helpThread(i, tid int) {
 }
 
 // Alloc stamps the birth era, helping before each periodic era advance.
-func (w *WFEIBR) Alloc(tid int) mem.Handle {
+// The cadence ticks even when the arena is exhausted, which reports
+// (0, false).
+func (w *WFEIBR) Alloc(tid int) (mem.Handle, bool) {
 	t := &w.threads[tid]
 	if t.allocCount%uint64(w.cfg.EraFreq) == 0 {
 		w.incrementEra(tid)
 	}
 	t.allocCount++
-	blk := w.arena.Alloc(tid)
-	w.arena.SetAllocEra(blk, w.globalEra.Load())
-	return blk
-}
-
-// TryAlloc is Alloc with backpressure: the era cadence still ticks, but
-// arena exhaustion reports (0, false) instead of panicking.
-func (w *WFEIBR) TryAlloc(tid int) (mem.Handle, bool) {
-	t := &w.threads[tid]
-	if t.allocCount%uint64(w.cfg.EraFreq) == 0 {
-		w.incrementEra(tid)
-	}
-	t.allocCount++
-	blk, ok := w.arena.TryAlloc(tid)
+	blk, ok := w.arena.Alloc(tid)
 	if !ok {
 		return 0, false
 	}
@@ -425,6 +388,3 @@ func intervalReservedLinear(los, his []uint64, birth, retire uint64) bool {
 	}
 	return false
 }
-
-// Unreclaimed implements reclaim.Scheme.
-func (w *WFEIBR) Unreclaimed() int { return w.rt.Unreclaimed() }

@@ -51,7 +51,7 @@ func TestSortedScanMatchesLinearOracle(t *testing.T) {
 func TestSlowPathSelfCompletion(t *testing.T) {
 	w, _ := newWFEIBR(t, 1, reclaim.Config{ForceSlowPath: true})
 	var root atomic.Uint64
-	h := w.Alloc(0)
+	h := mustAlloc(w, 0)
 	root.Store(h)
 
 	w.Begin(0)
@@ -75,7 +75,7 @@ func TestSlowPathSelfCompletion(t *testing.T) {
 func TestHelperProducesResultAndRaisesUpper(t *testing.T) {
 	w, _ := newWFEIBR(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	h := w.Alloc(1)
+	h := mustAlloc(w, 1)
 	root.Store(h)
 
 	// Post a request as the slow path would.
@@ -113,7 +113,7 @@ func TestHelperProducesResultAndRaisesUpper(t *testing.T) {
 func TestIncrementEraHelps(t *testing.T) {
 	w, _ := newWFEIBR(t, 2, reclaim.Config{})
 	var root atomic.Uint64
-	root.Store(w.Alloc(1))
+	root.Store(mustAlloc(w, 1))
 
 	w.Begin(0)
 	w.counterStart.Add(1)
@@ -162,8 +162,8 @@ func TestForcedSlowConcurrentChurn(t *testing.T) {
 		ForceSlowPath: true, EraFreq: 1, CleanupFreq: 1,
 	})
 	var root atomic.Uint64
-	h0 := w.Alloc(0)
-	a.SetKey(h0, h0)
+	h0 := mustAlloc(w, 0)
+	a.StoreWord(h0, keyWord, h0)
 	root.Store(h0)
 
 	var wg sync.WaitGroup
@@ -175,12 +175,12 @@ func TestForcedSlowConcurrentChurn(t *testing.T) {
 				w.Begin(tid)
 				if tid%2 == 0 {
 					v := w.GetProtected(tid, &root, 0, 0)
-					if h := pack.Handle(v); h != 0 && a.Key(h) != h {
+					if h := pack.Handle(v); h != 0 && a.LoadWord(h, keyWord) != h {
 						panic("corrupted read on slow path")
 					}
 				} else {
-					n := w.Alloc(tid)
-					a.SetKey(n, n)
+					n := mustAlloc(w, tid)
+					a.StoreWord(n, keyWord, n)
 					old := root.Swap(n)
 					if h := pack.Handle(old); h != 0 {
 						w.Retire(tid, h)
@@ -195,3 +195,17 @@ func TestForcedSlowConcurrentChurn(t *testing.T) {
 		t.Fatalf("counters unbalanced: %d/%d", cs, ce)
 	}
 }
+
+// mustAlloc allocates for tests whose arena is sized for the workload: it
+// panics on exhaustion, from any goroutine.
+func mustAlloc(a interface{ Alloc(int) (mem.Handle, bool) }, tid int) mem.Handle {
+	h, ok := a.Alloc(tid)
+	if !ok {
+		panic("test arena exhausted")
+	}
+	return h
+}
+
+// keyWord is the payload word the tests stamp a marker into before
+// publishing a block, to detect a reader observing a recycled block.
+const keyWord = 0

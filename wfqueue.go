@@ -1,8 +1,6 @@
 package wfe
 
 import (
-	"errors"
-
 	"wfe/internal/ds/crturn"
 	"wfe/internal/ds/kpqueue"
 )
@@ -31,7 +29,8 @@ type WFQueue[T any] struct{ boxedQueue[T] }
 // NewWFQueue creates an empty wait-free queue on the Domain. It leases a
 // guard to allocate the sentinel node, parking briefly if all guards are
 // busy. The queue registers the Domain's MaxGuards tids with the helping
-// protocol, so guards from any acquisition path can drive it.
+// protocol, so guards from any acquisition path can drive it. It panics if
+// the arena cannot supply the sentinel even after emergency reclamation.
 func NewWFQueue[T any](d *Domain[T]) *WFQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
@@ -63,7 +62,8 @@ type TurnQueue[T any] struct{ boxedQueue[T] }
 // the Domain must be configured with MaxGuards < 255 — set it explicitly
 // rather than inheriting the GOMAXPROCS default, which exceeds the limit
 // on very large machines; larger configurations panic here, at
-// construction.
+// construction, as does an arena that cannot supply the sentinel even
+// after emergency reclamation.
 func NewTurnQueue[T any](d *Domain[T]) *TurnQueue[T] {
 	g := d.Pin()
 	defer d.Unpin(g)
@@ -71,9 +71,11 @@ func NewTurnQueue[T any](d *Domain[T]) *TurnQueue[T] {
 }
 
 // tidQueue is the word queue a boxedQueue wraps: the internal wait-free
-// queues, driven by the caller's guard tid.
+// queues, driven by the caller's guard tid. Enqueue allocates its node
+// through the Domain's backpressure pipeline and reports false, leaving
+// the queue untouched, when the arena stays exhausted.
 type tidQueue interface {
-	Enqueue(tid int, v uint64)
+	Enqueue(tid int, v uint64) bool
 	Dequeue(tid int) (uint64, bool)
 	Len() int
 }
@@ -117,30 +119,24 @@ func (q *boxedQueue[T]) TryEnqueue(v T) error {
 
 // EnqueueGuarded is Enqueue on a caller-held guard.
 func (q *boxedQueue[T]) EnqueueGuarded(g *Guard[T], v T) {
-	box := g.Alloc(v)
-	q.q.Enqueue(g.tid, box.handle())
+	if err := q.TryEnqueueGuarded(g, v); err != nil {
+		panic(exhaustedPanic(q.d.arena.Capacity()))
+	}
 }
 
-// TryEnqueueGuarded is TryEnqueue on a caller-held guard. The helping
-// protocol allocates queue nodes internally; an exhaustion hit inside
-// that machinery is caught here, the value box is reclaimed, and the
+// TryEnqueueGuarded is TryEnqueue on a caller-held guard. The queue
+// allocates its node before the operation protects anything; when that
+// allocation reports exhaustion, the value box is reclaimed and the
 // queue is left unchanged.
 func (q *boxedQueue[T]) TryEnqueueGuarded(g *Guard[T], v T) (err error) {
 	box, err := g.TryAlloc(v)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, ErrArenaExhausted) {
-				g.Dealloc(box)
-				err = ErrArenaExhausted
-				return
-			}
-			panic(r)
-		}
-	}()
-	q.q.Enqueue(g.tid, box.handle())
+	if !q.q.Enqueue(g.tid, box.handle()) {
+		g.Dealloc(box)
+		return ErrArenaExhausted
+	}
 	return nil
 }
 
