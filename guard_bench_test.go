@@ -1,12 +1,14 @@
 // Guard-runtime benchmarks: the lock-free pool against the mutex freelist
-// it replaced, and the guardless API against pinned and per-op-acquired
-// guards. The acceptance bars: uncontended acquire/release beats the mutex
-// baseline, and guardless structure ops stay within 1.5x of pinned ones.
+// it replaced, the bare lease (Pin+Unpin) on its own, and the guardless API
+// against pinned and per-op-acquired guards. They report costs; no test
+// gates on their ratios.
 package wfe_test
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wfe"
@@ -88,11 +90,33 @@ func BenchmarkGuardAcquireRelease(b *testing.B) {
 	})
 }
 
-// BenchmarkGuardedOps compares the three acquisition paths on the same
-// stack push/pop workload at GOMAXPROCS goroutines: pinned (one lease for
-// the whole run — the floor), guardless (one lease per operation — must
-// stay within 1.5x of pinned), and acquire-per-op (pool round trip every
-// operation — what guardless would cost without the lease cache).
+// BenchmarkPinUnpin measures one lease round trip — a Pin followed by an
+// Unpin, the per-operation cost every guardless structure method pays —
+// at GOMAXPROCS goroutines. Each goroutine's lease is a cache hit on its
+// own guard, so the number is the lease fast path plus whatever cache
+// traffic it shares with the other goroutines' leases.
+func BenchmarkPinUnpin(b *testing.B) {
+	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			d.Unpin(d.Pin())
+		}
+	})
+}
+
+// BenchmarkGuardedOps compares the acquisition paths at GOMAXPROCS
+// goroutines. On a stack push/pop pair it reports pinned (one lease for
+// the whole run — the floor), guardless (one lease per operation) and
+// acquire-per-op (a pool round trip per push/pop pair — what guardless
+// would cost without the lease cache). On a hash map churn (100k-key
+// range, 50k keys prefilled, 50/50 TryInsert/Delete) it reports
+// hashmap-pinned and hashmap-guardless. Pinned against guardless on one
+// structure is what leasing per operation costs there.
 func BenchmarkGuardedOps(b *testing.B) {
 	newStack := func(b *testing.B) (*wfe.Domain[uint64], *wfe.Stack[uint64]) {
 		b.Helper()
@@ -133,6 +157,52 @@ func BenchmarkGuardedOps(b *testing.B) {
 				s.PushGuarded(g, 1)
 				s.PopGuarded(g)
 				g.Release()
+			}
+		})
+	})
+	const churnRange, churnPrefill = 100_000, 50_000
+	newMap := func(b *testing.B) (*wfe.Domain[uint64], *wfe.HashMap[uint64]) {
+		b.Helper()
+		d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := wfe.NewHashMap[uint64](d, churnRange)
+		for i := 0; i < churnPrefill; i++ {
+			m.Insert(uint64(i)*2, uint64(i))
+		}
+		return d, m
+	}
+	var seed atomic.Uint64
+	b.Run("hashmap-pinned", func(b *testing.B) {
+		d, m := newMap(b)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			g := d.Pin()
+			defer d.Unpin(g)
+			r := rand.New(rand.NewPCG(seed.Add(1), 0))
+			for pb.Next() {
+				k := r.Uint64N(churnRange)
+				if r.Uint64()&1 == 0 {
+					m.TryInsertGuarded(g, k, k)
+				} else {
+					m.DeleteGuarded(g, k)
+				}
+			}
+		})
+	})
+	b.Run("hashmap-guardless", func(b *testing.B) {
+		_, m := newMap(b)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			r := rand.New(rand.NewPCG(seed.Add(1), 0))
+			for pb.Next() {
+				k := r.Uint64N(churnRange)
+				if r.Uint64()&1 == 0 {
+					m.TryInsert(k, k)
+				} else {
+					m.Delete(k)
+				}
 			}
 		})
 	})

@@ -5,6 +5,7 @@ package wfe_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -234,5 +235,155 @@ func TestFlushIgnoresHeldGuards(t *testing.T) {
 	g.Release()
 	if free := d.Telemetry().GuardsFree; free != 1 {
 		t.Fatalf("GuardsFree = %d after release, want 1", free)
+	}
+}
+
+// leaseCounters is the lease and batch accounting slice of Telemetry.
+type leaseCounters struct {
+	hits, misses, batchHits, batchMisses, batchOps, batchItems uint64
+}
+
+func leaseCountersOf(t wfe.Telemetry) leaseCounters {
+	return leaseCounters{t.GuardCacheHits, t.GuardCacheMisses,
+		t.BatchGuardCacheHits, t.BatchGuardCacheMisses, t.BatchOps, t.BatchedItems}
+}
+
+// TestLeaseAccountingExact: on one goroutine every lease is accounted
+// exactly once — k Pin/Unpin cycles are one miss and k-1 hits, a TryGuard
+// that claims the cached guard and a guardless batch that finds it cached
+// are hits too — and FlushGuardCache, Release and Switch move no total.
+func TestLeaseAccountingExact(t *testing.T) {
+	const k = 50
+	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 10, MaxGuards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(step string, w leaseCounters) {
+		t.Helper()
+		if got := leaseCountersOf(d.Telemetry()); got != w {
+			t.Fatalf("%s: lease counters %+v, want %+v", step, got, w)
+		}
+	}
+	for i := 0; i < k; i++ {
+		d.Unpin(d.Pin())
+	}
+	want("Pin/Unpin", leaseCounters{hits: k - 1, misses: 1})
+
+	// With the only guard cached, TryGuard's pool attempt fails and it
+	// claims the guard out of the cache; Release returns it to the pool.
+	g, ok := d.TryGuard()
+	if !ok {
+		t.Fatal("TryGuard failed while the only guard sat idle in the cache")
+	}
+	g.Release()
+	want("TryGuard+Release", leaseCounters{hits: k, misses: 1})
+
+	// The guard went home with Release, so the first batch misses and the
+	// second finds it cached. GuardCacheHits/Misses include the batch path.
+	m := wfe.NewHashMap[uint64](d, 16)
+	m.MultiPut([]uint64{1, 2}, []uint64{1, 2})
+	m.MultiGet([]uint64{1, 2, 3})
+	w := leaseCounters{hits: k + 1, misses: 2, batchHits: 1, batchMisses: 1, batchOps: 2, batchItems: 5}
+	want("guardless batches", w)
+
+	if stranded := d.FlushGuardCache(); stranded != 0 {
+		t.Fatalf("%d guards stranded", stranded)
+	}
+	want("FlushGuardCache", w)
+	if err := d.Switch(wfe.HE); err != nil {
+		t.Fatal(err)
+	}
+	want("Switch", w)
+	m.MultiDelete([]uint64{1, 2}) // cache flushed: a batch-path miss
+	w.misses, w.batchMisses, w.batchOps, w.batchItems = w.misses+1, w.batchMisses+1, w.batchOps+1, w.batchItems+2
+	want("batch after Switch", w)
+}
+
+// TestLeaseTelemetryMonotone: a reader polling Telemetry while workers
+// Pin/Unpin, Release leased guards and run guardless batches must never
+// see a lease or batch counter go down — they are sums of per-tid
+// records that only grow, with nothing folded or cleared on Release.
+func TestLeaseTelemetryMonotone(t *testing.T) {
+	const workers, iters = 4, 2000
+	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 14, MaxGuards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := wfe.NewHashMap[uint64](d, 64)
+	stop := make(chan struct{})
+	readerDone := make(chan error)
+	go func() {
+		prev := leaseCountersOf(d.Telemetry())
+		for {
+			select {
+			case <-stop:
+				readerDone <- nil
+				return
+			default:
+			}
+			cur := leaseCountersOf(d.Telemetry())
+			if cur.hits < prev.hits || cur.misses < prev.misses ||
+				cur.batchHits < prev.batchHits || cur.batchMisses < prev.batchMisses ||
+				cur.batchOps < prev.batchOps || cur.batchItems < prev.batchItems {
+				readerDone <- fmt.Errorf("lease counters went down: %+v then %+v", prev, cur)
+				return
+			}
+			prev = cur
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			keys := []uint64{uint64(w), uint64(w + workers)}
+			for i := 0; i < iters; i++ {
+				switch i % 4 {
+				case 0:
+					d.Unpin(d.Pin())
+				case 1:
+					d.Pin().Release() // the tid leaves the lease cache
+				case 2:
+					m.MultiPut(keys, keys)
+				case 3:
+					m.MultiDelete(keys)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
+	}
+	tel := d.Telemetry()
+	if want := uint64(workers * iters / 2); tel.BatchOps != want {
+		t.Fatalf("BatchOps = %d, want %d", tel.BatchOps, want)
+	}
+	if want := uint64(workers * iters); tel.BatchedItems != want {
+		t.Fatalf("BatchedItems = %d, want %d", tel.BatchedItems, want)
+	}
+	// A lease that misses the cache can still claim a cached guard inside
+	// AcquireGuard's TryGuard prelude, counting a miss and a hit, so the
+	// lease total is a floor here, not an equality.
+	if got, leases := tel.GuardCacheHits+tel.GuardCacheMisses, uint64(workers*iters); got < leases {
+		t.Fatalf("GuardCacheHits+Misses = %d, want at least one per lease (%d)", got, leases)
+	}
+}
+
+// TestLeaseAllocFree: the lease fast path allocates nothing — neither a
+// bare Pin+Unpin nor a guardless HashMap.Get, which leases per call.
+func TestLeaseAllocFree(t *testing.T) {
+	d, err := wfe.NewDomain[uint64](wfe.Options{Capacity: 1 << 10, MaxGuards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := wfe.NewHashMap[uint64](d, 16)
+	m.Insert(7, 7)
+	if a := testing.AllocsPerRun(200, func() { d.Unpin(d.Pin()) }); a != 0 {
+		t.Fatalf("Pin+Unpin allocated %.1f times per call; want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { m.Get(7) }); a != 0 {
+		t.Fatalf("guardless HashMap.Get allocated %.1f times per call; want 0", a)
 	}
 }
