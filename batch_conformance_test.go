@@ -1,10 +1,11 @@
-// Batched-operation conformance: the batch entry points (MultiGet,
-// MultiPut, MultiDelete, MultiInsert, PushAll, PopN, EnqueueAll,
-// DequeueN and their Try* twins) run through the same structure × scheme
-// × acquisition-path matrix as the per-op conformance harness, under the
-// same invariants — exactly-once delivery for the sequences, membership
-// against an exact oracle for the kv structures — plus the batch-only
-// contracts: positional results, partial progress on arena exhaustion,
+// Batched-operation conformance: batches — Guard.Batch and Domain.Batch
+// around each structure's per-op Guarded calls, plus the HashMap's
+// TryMultiPut/MultiDelete/MultiGet loops over Domain.Batch — run through
+// the same structure × scheme × acquisition-path matrix as the per-op
+// conformance harness, under the same invariants (exactly-once delivery
+// for the sequences, membership against an exact oracle for the kv
+// structures), plus the batch-only contracts: positional results,
+// partial progress on arena exhaustion, the in-span allocation stall,
 // batch telemetry and the trace bracket. CI runs this file under -race.
 package wfe_test
 
@@ -15,178 +16,178 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"wfe"
 	"wfe/internal/quiesce"
 )
 
-// batchAPI adapts one structure's batch entry points to the matrix. A nil
-// guard selects the plain guardless batch methods; a non-nil one the
-// Guarded variants. Sequences implement insertAll/removeN; kv structures
-// putAll/deleteAll (and getAll where the structure has a batch read).
+// inBatch runs body as one batch on the matrix's guard: a nil guard
+// selects the guardless Domain.Batch, a non-nil one Guard.Batch on it.
+func inBatch(d *wfe.Domain[uint64], g *wfe.Guard[uint64], body func(g *wfe.Guard[uint64])) {
+	if g == nil {
+		d.Batch(body)
+		return
+	}
+	g.Batch(func() { body(g) })
+}
+
+// batchAPI adapts one structure's per-op Guarded calls, run as batches,
+// to the matrix. Sequences implement insertAll/removeN; kv structures
+// putAll/deleteAll/getOne. Every method takes the matrix's guard (nil
+// for guardless) and runs its whole slice as one batch.
 type batchAPI interface {
 	kind() conformKind
 	// insertAll pushes/enqueues vs in slice order (sequences only).
 	insertAll(g *wfe.Guard[uint64], vs []uint64)
-	// removeN pops/dequeues up to n values (sequences only).
+	// removeN pops/dequeues up to n values, stopping when empty
+	// (sequences only).
 	removeN(g *wfe.Guard[uint64], n int) []uint64
-	// putAll upserts ks[i]→vs[i]; for the Tree (no unconditional batch
-	// write) it is MultiInsert, so repeated keys keep their first value.
+	// putAll upserts ks[i]→vs[i]; for the Tree it inserts, so repeated
+	// keys keep their first value.
 	putAll(g *wfe.Guard[uint64], ks, vs []uint64)
 	// deleteAll removes every key, reporting per-key presence.
 	deleteAll(g *wfe.Guard[uint64], ks []uint64) []bool
-	// getOne reads one key through the per-op path (every kv structure
-	// has it; the HashMap additionally gets getAll coverage).
+	// getOne reads one key in a batch of its own.
 	getOne(g *wfe.Guard[uint64], k uint64) (uint64, bool)
 	length(g *wfe.Guard[uint64]) int
 }
 
-type stackBatchAPI struct{ s *wfe.Stack[uint64] }
-
-func (a stackBatchAPI) kind() conformKind { return lifoKind }
-func (a stackBatchAPI) insertAll(g *wfe.Guard[uint64], vs []uint64) {
-	if g == nil {
-		a.s.PushAll(vs)
-	} else {
-		a.s.PushAllGuarded(g, vs)
-	}
-}
-func (a stackBatchAPI) removeN(g *wfe.Guard[uint64], n int) []uint64 {
-	if g == nil {
-		return a.s.PopN(n)
-	}
-	return a.s.PopNGuarded(g, n)
-}
-func (a stackBatchAPI) putAll(*wfe.Guard[uint64], []uint64, []uint64) { panic("stack: no putAll") }
-func (a stackBatchAPI) deleteAll(*wfe.Guard[uint64], []uint64) []bool { panic("stack: no deleteAll") }
-func (a stackBatchAPI) getOne(*wfe.Guard[uint64], uint64) (uint64, bool) {
-	panic("stack: no getOne")
-}
-func (a stackBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.s.Len()
-	}
-	return a.s.LenGuarded(g)
+// seqOps is the per-op method set the sequence adapter batches: Stack,
+// Queue, WFQueue and TurnQueue all have it under their own names.
+type seqOps struct {
+	d      *wfe.Domain[uint64]
+	k      conformKind
+	insert func(g *wfe.Guard[uint64], v uint64)
+	remove func(g *wfe.Guard[uint64]) (uint64, bool)
+	len    func(g *wfe.Guard[uint64]) int
 }
 
-// batchFifo is the shared batch method set of the three FIFO queues.
-type batchFifo interface {
-	EnqueueAll(vs []uint64)
-	EnqueueAllGuarded(g *wfe.Guard[uint64], vs []uint64)
-	DequeueN(n int) []uint64
-	DequeueNGuarded(g *wfe.Guard[uint64], n int) []uint64
-	Len() int
+func (a seqOps) kind() conformKind { return a.k }
+func (a seqOps) insertAll(g *wfe.Guard[uint64], vs []uint64) {
+	inBatch(a.d, g, func(g *wfe.Guard[uint64]) {
+		for _, v := range vs {
+			a.insert(g, v)
+		}
+	})
+}
+func (a seqOps) removeN(g *wfe.Guard[uint64], n int) []uint64 {
+	var out []uint64
+	inBatch(a.d, g, func(g *wfe.Guard[uint64]) {
+		for len(out) < n {
+			v, ok := a.remove(g)
+			if !ok {
+				return
+			}
+			out = append(out, v)
+		}
+	})
+	return out
+}
+func (a seqOps) putAll(*wfe.Guard[uint64], []uint64, []uint64) { panic("sequence: no putAll") }
+func (a seqOps) deleteAll(*wfe.Guard[uint64], []uint64) []bool { panic("sequence: no deleteAll") }
+func (a seqOps) getOne(*wfe.Guard[uint64], uint64) (uint64, bool) {
+	panic("sequence: no getOne")
+}
+func (a seqOps) length(g *wfe.Guard[uint64]) int { return lengthOn(a.d, g, a.len) }
+
+// lengthOn runs a LenGuarded on the matrix's guard, pinning one when the
+// path is guardless.
+func lengthOn(d *wfe.Domain[uint64], g *wfe.Guard[uint64], lenG func(*wfe.Guard[uint64]) int) int {
+	if g == nil {
+		g = d.Pin()
+		defer d.Unpin(g)
+	}
+	return lenG(g)
+}
+
+// fifoOps is the per-op method set of the three FIFO queues.
+type fifoOps interface {
+	EnqueueGuarded(g *wfe.Guard[uint64], v uint64)
+	DequeueGuarded(g *wfe.Guard[uint64]) (uint64, bool)
 	LenGuarded(g *wfe.Guard[uint64]) int
 }
 
-type fifoBatchAPI struct{ q batchFifo }
-
-func (a fifoBatchAPI) kind() conformKind { return fifoKind }
-func (a fifoBatchAPI) insertAll(g *wfe.Guard[uint64], vs []uint64) {
-	if g == nil {
-		a.q.EnqueueAll(vs)
-	} else {
-		a.q.EnqueueAllGuarded(g, vs)
-	}
-}
-func (a fifoBatchAPI) removeN(g *wfe.Guard[uint64], n int) []uint64 {
-	if g == nil {
-		return a.q.DequeueN(n)
-	}
-	return a.q.DequeueNGuarded(g, n)
-}
-func (a fifoBatchAPI) putAll(*wfe.Guard[uint64], []uint64, []uint64) { panic("fifo: no putAll") }
-func (a fifoBatchAPI) deleteAll(*wfe.Guard[uint64], []uint64) []bool { panic("fifo: no deleteAll") }
-func (a fifoBatchAPI) getOne(*wfe.Guard[uint64], uint64) (uint64, bool) {
-	panic("fifo: no getOne")
-}
-func (a fifoBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.q.Len()
-	}
-	return a.q.LenGuarded(g)
+func fifoBatchAPI(d *wfe.Domain[uint64], q fifoOps) batchAPI {
+	return seqOps{d, fifoKind, q.EnqueueGuarded, q.DequeueGuarded, q.LenGuarded}
 }
 
-type hashMapBatchAPI struct{ m *wfe.HashMap[uint64] }
+// kvOps batches the kv structures' per-op calls. Guardless, the HashMap
+// goes through its TryMultiPut/MultiDelete/MultiGet loops, so those stay
+// in the matrix too.
+type kvOps struct {
+	d   *wfe.Domain[uint64]
+	m   *wfe.HashMap[uint64] // nil for the Tree
+	put func(g *wfe.Guard[uint64], k, v uint64)
+	del func(g *wfe.Guard[uint64], k uint64) bool
+	get func(g *wfe.Guard[uint64], k uint64) (uint64, bool)
+	len func(g *wfe.Guard[uint64]) int
+}
 
-func (a hashMapBatchAPI) kind() conformKind                      { return kvKind }
-func (a hashMapBatchAPI) insertAll(*wfe.Guard[uint64], []uint64) { panic("map: no insertAll") }
-func (a hashMapBatchAPI) removeN(*wfe.Guard[uint64], int) []uint64 {
-	panic("map: no removeN")
+func (a kvOps) kind() conformKind                      { return kvKind }
+func (a kvOps) insertAll(*wfe.Guard[uint64], []uint64) { panic("kv: no insertAll") }
+func (a kvOps) removeN(*wfe.Guard[uint64], int) []uint64 {
+	panic("kv: no removeN")
 }
-func (a hashMapBatchAPI) putAll(g *wfe.Guard[uint64], ks, vs []uint64) {
-	if g == nil {
-		a.m.MultiPut(ks, vs)
-	} else {
-		a.m.MultiPutGuarded(g, ks, vs)
+func (a kvOps) putAll(g *wfe.Guard[uint64], ks, vs []uint64) {
+	if g == nil && a.m != nil {
+		if _, err := a.m.TryMultiPut(ks, vs); err != nil {
+			panic(err)
+		}
+		return
 	}
+	inBatch(a.d, g, func(g *wfe.Guard[uint64]) {
+		for i, k := range ks {
+			a.put(g, k, vs[i])
+		}
+	})
 }
-func (a hashMapBatchAPI) deleteAll(g *wfe.Guard[uint64], ks []uint64) []bool {
-	if g == nil {
+func (a kvOps) deleteAll(g *wfe.Guard[uint64], ks []uint64) []bool {
+	if g == nil && a.m != nil {
 		return a.m.MultiDelete(ks)
 	}
-	return a.m.MultiDeleteGuarded(g, ks)
+	oks := make([]bool, len(ks))
+	inBatch(a.d, g, func(g *wfe.Guard[uint64]) {
+		for i, k := range ks {
+			oks[i] = a.del(g, k)
+		}
+	})
+	return oks
 }
-func (a hashMapBatchAPI) getOne(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
-	var vals []uint64
-	var oks []bool
-	if g == nil {
-		vals, oks = a.m.MultiGet([]uint64{k})
-	} else {
-		vals, oks = a.m.MultiGetGuarded(g, []uint64{k})
+func (a kvOps) getOne(g *wfe.Guard[uint64], k uint64) (v uint64, ok bool) {
+	if g == nil && a.m != nil {
+		vals, oks := a.m.MultiGet([]uint64{k})
+		return vals[0], oks[0]
 	}
-	return vals[0], oks[0]
+	inBatch(a.d, g, func(g *wfe.Guard[uint64]) { v, ok = a.get(g, k) })
+	return v, ok
 }
-func (a hashMapBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.m.Len()
-	}
-	return a.m.LenGuarded(g)
+func (a kvOps) length(g *wfe.Guard[uint64]) int { return lengthOn(a.d, g, a.len) }
+
+func hashMapBatchAPI(d *wfe.Domain[uint64]) batchAPI {
+	m := wfe.NewHashMap[uint64](d, 64)
+	return kvOps{d, m, m.PutGuarded, m.DeleteGuarded, m.GetGuarded, m.LenGuarded}
 }
 
-type treeBatchAPI struct{ t *wfe.Tree[uint64] }
-
-func (a treeBatchAPI) kind() conformKind                      { return kvKind }
-func (a treeBatchAPI) insertAll(*wfe.Guard[uint64], []uint64) { panic("tree: no insertAll") }
-func (a treeBatchAPI) removeN(*wfe.Guard[uint64], int) []uint64 {
-	panic("tree: no removeN")
-}
-func (a treeBatchAPI) putAll(g *wfe.Guard[uint64], ks, vs []uint64) {
-	if g == nil {
-		a.t.MultiInsert(ks, vs)
-	} else {
-		a.t.MultiInsertGuarded(g, ks, vs)
-	}
-}
-func (a treeBatchAPI) deleteAll(g *wfe.Guard[uint64], ks []uint64) []bool {
-	if g == nil {
-		return a.t.MultiDelete(ks)
-	}
-	return a.t.MultiDeleteGuarded(g, ks)
-}
-func (a treeBatchAPI) getOne(g *wfe.Guard[uint64], k uint64) (uint64, bool) {
-	if g == nil {
-		return a.t.Get(k)
-	}
-	return a.t.GetGuarded(g, k)
-}
-func (a treeBatchAPI) length(g *wfe.Guard[uint64]) int {
-	if g == nil {
-		return a.t.Len()
-	}
-	return a.t.LenGuarded(g)
+func treeBatchAPI(d *wfe.Domain[uint64]) batchAPI {
+	t := wfe.NewTree[uint64](d)
+	insert := func(g *wfe.Guard[uint64], k, v uint64) { t.InsertGuarded(g, k, v) }
+	return kvOps{d, nil, insert, t.DeleteGuarded, t.GetGuarded, t.LenGuarded}
 }
 
 var batchStructures = []struct {
 	name  string
 	build func(d *wfe.Domain[uint64]) batchAPI
 }{
-	{"Stack", func(d *wfe.Domain[uint64]) batchAPI { return stackBatchAPI{wfe.NewStack[uint64](d)} }},
-	{"Queue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI{wfe.NewQueue[uint64](d)} }},
-	{"WFQueue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI{wfe.NewWFQueue[uint64](d)} }},
-	{"TurnQueue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI{wfe.NewTurnQueue[uint64](d)} }},
-	{"HashMap", func(d *wfe.Domain[uint64]) batchAPI { return hashMapBatchAPI{wfe.NewHashMap[uint64](d, 64)} }},
-	{"Tree", func(d *wfe.Domain[uint64]) batchAPI { return treeBatchAPI{wfe.NewTree[uint64](d)} }},
+	{"Stack", func(d *wfe.Domain[uint64]) batchAPI {
+		s := wfe.NewStack[uint64](d)
+		return seqOps{d, lifoKind, s.PushGuarded, s.PopGuarded, s.LenGuarded}
+	}},
+	{"Queue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI(d, wfe.NewQueue[uint64](d)) }},
+	{"WFQueue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI(d, wfe.NewWFQueue[uint64](d)) }},
+	{"TurnQueue", func(d *wfe.Domain[uint64]) batchAPI { return fifoBatchAPI(d, wfe.NewTurnQueue[uint64](d)) }},
+	{"HashMap", hashMapBatchAPI},
+	{"Tree", treeBatchAPI},
 }
 
 // batchPaths mirrors acquisitionPaths for burst-granular work: how a
@@ -320,8 +321,8 @@ func batchModelPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI) {
 	}
 }
 
-// batchSequencePhase checks exactly-once delivery under concurrent
-// PushAll/PopN (EnqueueAll/DequeueN) bursts: every value inserted by any
+// batchSequencePhase checks exactly-once delivery under concurrent push
+// and pop (enqueue and dequeue) batches: every value inserted by any
 // burst is removed exactly once across all bursts plus the final drain.
 func batchSequencePhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI,
 	run func(d *wfe.Domain[uint64], bursts int, body func(int, *wfe.Guard[uint64]))) {
@@ -456,7 +457,7 @@ func batchKVPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI,
 
 // batchDrainPhase asserts quiescent cleanliness plus the batch
 // telemetry: the bursts were accounted (BatchOps, BatchedItems) and the
-// guardless entry points went through the batch lease path.
+// guardless batches went through the batch lease path.
 func batchDrainPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI, kind wfe.SchemeKind) {
 	t.Helper()
 	g := d.Guard()
@@ -482,18 +483,32 @@ func batchDrainPhase(t *testing.T, d *wfe.Domain[uint64], api batchAPI, kind wfe
 		t.Fatalf("BatchedItems %d < BatchOps %d", tel.BatchedItems, tel.BatchOps)
 	}
 	if tel.BatchGuardCacheHits+tel.BatchGuardCacheMisses == 0 {
-		t.Fatal("guardless batch entry points recorded no batch lease-cache traffic")
+		t.Fatal("guardless batches recorded no batch lease-cache traffic")
 	}
 	if tel.GuardCacheHits+tel.GuardCacheMisses < tel.BatchGuardCacheHits+tel.BatchGuardCacheMisses {
 		t.Fatal("batch lease traffic not folded into the overall cache totals")
 	}
 }
 
-// TestBatchPartialProgress pins the Try* exhaustion contract on every
-// allocating batch API: under the Leak scheme (which never recycles, so
-// exhaustion is deterministic) a too-large batch applies a prefix,
-// reports its length, and returns ErrArenaExhausted — and the structure
-// holds exactly that prefix.
+// tryPrefix runs try(g, i) for i in [0, n) in one Domain.Batch and stops
+// at the first error: the partial-progress loop a caller writes around
+// the Try*Guarded calls. It reports how many items succeeded.
+func tryPrefix(d *wfe.Domain[uint64], n int, try func(g *wfe.Guard[uint64], i int) error) (done int, err error) {
+	d.Batch(func(g *wfe.Guard[uint64]) {
+		for ; done < n; done++ {
+			if err = try(g, done); err != nil {
+				return
+			}
+		}
+	})
+	return done, err
+}
+
+// TestBatchPartialProgress pins the exhaustion contract of a Try loop
+// inside a batch on every allocating structure: under the Leak scheme
+// (which never recycles, so exhaustion is deterministic) a too-large
+// batch applies a prefix, reports its length, and returns
+// ErrArenaExhausted — and the structure holds exactly that prefix.
 func TestBatchPartialProgress(t *testing.T) {
 	const capacity = 128
 	build := func(t *testing.T) *wfe.Domain[uint64] {
@@ -514,52 +529,63 @@ func TestBatchPartialProgress(t *testing.T) {
 		vals[i] = uint64(i) + 1
 		keys[i] = uint64(i) + 1
 	}
+	checkPrefix := func(t *testing.T, done int, err error) {
+		t.Helper()
+		if !errors.Is(err, wfe.ErrArenaExhausted) {
+			t.Fatalf("err = %v, want ErrArenaExhausted", err)
+		}
+		if done == 0 || done >= len(vals) {
+			t.Fatalf("applied %d, want a proper prefix of %d", done, len(vals))
+		}
+	}
 
 	t.Run("Stack", func(t *testing.T) {
 		d := build(t)
 		s := wfe.NewStack[uint64](d)
-		pushed, err := s.TryPushAll(vals)
-		if !errors.Is(err, wfe.ErrArenaExhausted) {
-			t.Fatalf("TryPushAll err = %v, want ErrArenaExhausted", err)
-		}
-		if pushed == 0 || pushed >= len(vals) {
-			t.Fatalf("TryPushAll pushed = %d, want a proper prefix of %d", pushed, len(vals))
-		}
+		pushed, err := tryPrefix(d, len(vals), func(g *wfe.Guard[uint64], i int) error {
+			return s.TryPushGuarded(g, vals[i])
+		})
+		checkPrefix(t, pushed, err)
 		if n := s.Len(); n != pushed {
 			t.Fatalf("Len = %d, pushed = %d", n, pushed)
 		}
 		// The prefix landed in slice order: the top is vals[pushed-1].
-		if got := s.PopN(1); len(got) != 1 || got[0] != vals[pushed-1] {
-			t.Fatalf("top = %v, want %d", got, vals[pushed-1])
+		if got, ok := s.Pop(); !ok || got != vals[pushed-1] {
+			t.Fatalf("top = %d,%v, want %d", got, ok, vals[pushed-1])
 		}
 	})
 
+	fifo := func(t *testing.T, d *wfe.Domain[uint64], q interface {
+		TryEnqueueGuarded(*wfe.Guard[uint64], uint64) error
+		Dequeue() (uint64, bool)
+	}) {
+		enq, err := tryPrefix(d, len(vals), func(g *wfe.Guard[uint64], i int) error {
+			return q.TryEnqueueGuarded(g, vals[i])
+		})
+		checkPrefix(t, enq, err)
+		for i := 0; i < enq; i++ {
+			if v, ok := q.Dequeue(); !ok || v != vals[i] {
+				t.Fatalf("dequeue %d = %d,%v, want %d", i, v, ok, vals[i])
+			}
+		}
+		if v, ok := q.Dequeue(); ok {
+			t.Fatalf("dequeued %d past the enqueued prefix of %d", v, enq)
+		}
+	}
 	t.Run("Queue", func(t *testing.T) {
 		d := build(t)
-		q := wfe.NewQueue[uint64](d)
-		enq, err := q.TryEnqueueAll(vals)
-		if !errors.Is(err, wfe.ErrArenaExhausted) {
-			t.Fatalf("TryEnqueueAll err = %v, want ErrArenaExhausted", err)
-		}
-		if enq == 0 || enq >= len(vals) {
-			t.Fatalf("TryEnqueueAll enqueued = %d, want a proper prefix", enq)
-		}
-		got := q.DequeueN(enq)
-		if len(got) != enq || got[0] != vals[0] || got[enq-1] != vals[enq-1] {
-			t.Fatalf("prefix mismatch: got %d values, first %d last %d", len(got), got[0], got[len(got)-1])
-		}
+		fifo(t, d, wfe.NewQueue[uint64](d))
+	})
+	t.Run("WFQueue", func(t *testing.T) {
+		d := build(t)
+		fifo(t, d, wfe.NewWFQueue[uint64](d))
 	})
 
 	t.Run("HashMap", func(t *testing.T) {
 		d := build(t)
 		m := wfe.NewHashMap[uint64](d, 8)
 		applied, err := m.TryMultiPut(keys, vals)
-		if !errors.Is(err, wfe.ErrArenaExhausted) {
-			t.Fatalf("TryMultiPut err = %v, want ErrArenaExhausted", err)
-		}
-		if applied == 0 || applied >= len(keys) {
-			t.Fatalf("TryMultiPut applied = %d, want a proper prefix", applied)
-		}
+		checkPrefix(t, applied, err)
 		vs, oks := m.MultiGet(keys)
 		for i := range keys {
 			if oks[i] != (i < applied) {
@@ -574,44 +600,25 @@ func TestBatchPartialProgress(t *testing.T) {
 	t.Run("Tree", func(t *testing.T) {
 		d := build(t)
 		tr := wfe.NewTree[uint64](d)
-		inserted, attempted, err := tr.TryMultiInsert(keys, vals)
-		if !errors.Is(err, wfe.ErrArenaExhausted) {
-			t.Fatalf("TryMultiInsert err = %v, want ErrArenaExhausted", err)
-		}
-		if attempted == 0 || attempted >= len(keys) {
-			t.Fatalf("TryMultiInsert attempted = %d, want a proper prefix", attempted)
-		}
+		inserted, err := tryPrefix(d, len(keys), func(g *wfe.Guard[uint64], i int) error {
+			ok, err := tr.TryInsertGuarded(g, keys[i], vals[i])
+			if err == nil && !ok {
+				t.Errorf("fresh key %d reported present", keys[i])
+			}
+			return err
+		})
+		checkPrefix(t, inserted, err)
 		for i := range keys {
-			_, ok := tr.Get(keys[i])
-			if ok != (i < attempted) {
-				t.Fatalf("key %d present=%v, attempted prefix is %d", keys[i], ok, attempted)
+			if _, ok := tr.Get(keys[i]); ok != (i < inserted) {
+				t.Fatalf("key %d present=%v, inserted prefix is %d", keys[i], ok, inserted)
 			}
-			if ok != inserted[i] {
-				t.Fatalf("key %d: inserted[%d]=%v but Get says %v", keys[i], i, inserted[i], ok)
-			}
-		}
-	})
-
-	t.Run("WFQueue", func(t *testing.T) {
-		d := build(t)
-		q := wfe.NewWFQueue[uint64](d)
-		enq, err := q.TryEnqueueAll(vals)
-		if !errors.Is(err, wfe.ErrArenaExhausted) {
-			t.Fatalf("TryEnqueueAll err = %v, want ErrArenaExhausted", err)
-		}
-		if enq == 0 || enq >= len(vals) {
-			t.Fatalf("TryEnqueueAll enqueued = %d, want a proper prefix", enq)
-		}
-		got := q.DequeueN(enq + 8)
-		if len(got) != enq || got[0] != vals[0] {
-			t.Fatalf("prefix mismatch: %d values dequeued, enqueued %d", len(got), enq)
 		}
 	})
 }
 
-// TestBatchTraceBracket pins the trace contract: a width-n batch (n > 1)
-// emits one batch-begin/batch-end pair around its items, with the item
-// and retire counts in the end record's payloads.
+// TestBatchTraceBracket pins the trace contract: a batch emits one
+// batch-begin/batch-end pair around its items, with the item and retire
+// counts in the end record's payloads.
 func TestBatchTraceBracket(t *testing.T) {
 	d, err := wfe.NewDomain[uint64](wfe.Options{
 		Scheme:    wfe.WFE,
@@ -626,7 +633,9 @@ func TestBatchTraceBracket(t *testing.T) {
 	m := wfe.NewHashMap[uint64](d, 8)
 	keys := []uint64{1, 2, 3, 4}
 	vals := []uint64{10, 20, 30, 40}
-	m.MultiPut(keys, vals)
+	if _, err := m.TryMultiPut(keys, vals); err != nil {
+		t.Fatal(err)
+	}
 	m.MultiDelete(keys)
 
 	var begins, ends int
@@ -650,7 +659,7 @@ func TestBatchTraceBracket(t *testing.T) {
 }
 
 // TestBatchLeavesNoReservation pins the end of a batch: one retiring batch
-// (MultiDelete, PopN, DequeueN) on a pinned guard must hand its retire
+// (deletes, pops or dequeues) on a pinned guard must hand its retire
 // burst to the cadence — the tid's first cadence step scans — and must
 // close the protection span it opened. With the guard still pinned but
 // idle, a quiescent Scavenge then reclaims every retired block; a hazard,
@@ -693,5 +702,65 @@ func TestBatchLeavesNoReservation(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBatchStallDropsSpan pins the batch-wide allocate-before-protect
+// rule on every judged scheme. One guard runs a single Domain.Batch that
+// first deletes every key of a full arena and then puts as many fresh
+// keys: the puts can only succeed by recycling the batch's own retirees,
+// so the first put's allocation stalls inside the open span. The stall
+// must drop the span while the emergency pipeline runs — held across it,
+// the batch's epoch announcement (EBR) or era reservations (HE, WFE and
+// the interval schemes) pin every block the rescue needs, and the puts
+// fail with ErrArenaExhausted. HP's hazards cover at most three blocks,
+// which the later items overwrite, so HP passes either way and only
+// checks the path runs.
+func TestBatchStallDropsSpan(t *testing.T) {
+	const n = 64
+	for _, kind := range nonLeakSchemes() {
+		t.Run(kind.String(), func(t *testing.T) {
+			d, err := wfe.NewDomain[uint64](wfe.Options{
+				Scheme:       kind,
+				Capacity:     n,
+				MaxGuards:    1,
+				AllocBackoff: 10 * time.Microsecond,
+				Debug:        true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := wfe.NewHashMap[uint64](d, 16)
+			for k := uint64(0); k < n; k++ {
+				if ok, err := m.TryInsert(k, k); !ok || err != nil {
+					t.Fatalf("prefill key %d: ok=%v err=%v", k, ok, err)
+				}
+			}
+			put, deleted := 0, 0
+			d.Batch(func(g *wfe.Guard[uint64]) {
+				for k := uint64(0); k < n; k++ {
+					if m.DeleteGuarded(g, k) {
+						deleted++
+					}
+				}
+				for ; put < n; put++ {
+					if err = m.TryPutGuarded(g, uint64(n+put), uint64(put)); err != nil {
+						return
+					}
+				}
+			})
+			if deleted != n {
+				t.Fatalf("deleted %d of %d prefilled keys", deleted, n)
+			}
+			if err != nil {
+				t.Fatalf("put %d of %d keys, then %v: the stall ran with the batch's span held", put, n, err)
+			}
+			if d.Telemetry().AllocStalls == 0 {
+				t.Fatal("no allocation stalled: the batch never exercised the stall path")
+			}
+			if l := m.Len(); l != n {
+				t.Fatalf("Len = %d after the batch, want %d", l, n)
+			}
+		})
 	}
 }

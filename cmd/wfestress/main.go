@@ -31,9 +31,9 @@
 // and sampler rows as wfe-switch/v1 JSON for artifact upload.
 //
 // The -batch mode is the batched-operations correctness twin of the
-// bench ablation: 8x more goroutines than guards drive the batch entry
-// points (MultiPut/MultiDelete/MultiGet, PushAll/PopN and their Try*
-// twins, guardless and pinned) at mixed widths while Domain.Switch
+// bench ablation: 8x more goroutines than guards run batches (Domain.Batch
+// and Guard.Batch over HashMap and Stack Guarded calls, plus the HashMap's
+// TryMultiPut/MultiDelete/MultiGet loops) at mixed widths while Domain.Switch
 // rotates through every scheme and the arena-alloc failpoint injects
 // probabilistic allocation faults — an exhaustion storm that forces the
 // Try* partial-progress paths mid-burst. The debug arena is armed; the
@@ -419,9 +419,9 @@ func switchStorm(threads int, duration time.Duration, keyRange uint64,
 }
 
 // batchStorm is the batched-operations correctness twin of the bench
-// ablation: 8x more goroutines than guards drive the batch entry points
-// on a HashMap and a Stack at mixed widths — guardless Try*/Multi*
-// bursts plus pinned Guarded bursts — while a switcher cycles
+// ablation: 8x more goroutines than guards run batches on a HashMap and
+// a Stack at mixed widths — guardless Domain.Batch bursts plus pinned
+// Guard.Batch bursts — while a switcher cycles
 // Domain.Switch through every scheme and the arena-alloc failpoint
 // makes roughly one allocation in 500 fail, forcing the Try* paths to
 // surface partial progress mid-burst and the plain paths through the
@@ -475,7 +475,7 @@ func batchStorm(threads int, duration time.Duration, keyRange uint64,
 	)
 	// benign reports nil for the one error the exhaustion storm is meant
 	// to provoke (counting it), and the error itself for anything else —
-	// any other failure escaping a batch entry point is a bug.
+	// any other failure escaping a batch is a bug.
 	benign := func(terr error) error {
 		if terr == nil {
 			return nil
@@ -485,6 +485,29 @@ func batchStorm(threads int, duration time.Duration, keyRange uint64,
 			return nil
 		}
 		return terr
+	}
+	// The stack's batches: a Try loop that stops at the first exhaustion
+	// (the prefix before it stays pushed), and a pop loop that stops when
+	// the stack empties.
+	pushAll := func(vs []uint64) (pushed int, err error) {
+		d.Batch(func(g *wfe.Guard[uint64]) {
+			for ; pushed < len(vs); pushed++ {
+				if err = st.TryPushGuarded(g, vs[pushed]); err != nil {
+					return
+				}
+			}
+		})
+		return pushed, err
+	}
+	popN := func(n int) (popped int) {
+		d.Batch(func(g *wfe.Guard[uint64]) {
+			for ; popped < n; popped++ {
+				if _, ok := st.PopGuarded(g); !ok {
+					return
+				}
+			}
+		})
+		return popped
 	}
 	start := time.Now()
 	for w := 0; w < goroutines; w++ {
@@ -524,23 +547,33 @@ func batchStorm(threads int, duration time.Duration, keyRange uint64,
 					m.MultiGet(ks)
 					done = n
 				case 3:
-					pushed, terr := st.TryPushAll(vs)
+					pushed, terr := pushAll(vs)
 					if terr = benign(terr); terr != nil {
 						panic(terr)
 					}
 					done = pushed
 				case 4:
-					done = len(st.PopN(n))
+					done = popN(n)
 				default: // pinned guard: two bursts amortize one lease
 					g := d.Pin()
-					applied, terr := m.TryMultiPutGuarded(g, ks, vs)
+					var terr error
+					g.Batch(func() {
+						for ; done < n; done++ {
+							if terr = m.TryPutGuarded(g, ks[done], vs[done]); terr != nil {
+								return
+							}
+						}
+					})
 					if terr = benign(terr); terr != nil {
 						d.Unpin(g)
 						panic(terr)
 					}
-					done = applied
-					if applied == n {
-						m.MultiDeleteGuarded(g, ks)
+					if done == n {
+						g.Batch(func() {
+							for _, k := range ks {
+								m.DeleteGuarded(g, k)
+							}
+						})
 						done += n
 					}
 					d.Unpin(g)
@@ -588,7 +621,7 @@ func batchStorm(threads int, duration time.Duration, keyRange uint64,
 	// real allocations, and the drain itself runs through the batch
 	// paths one last time.
 	failpoint.DisarmAll()
-	for len(st.PopN(64)) > 0 {
+	for popN(64) > 0 {
 	}
 	drain := make([]uint64, 0, 64)
 	for lo := uint64(0); lo < keyRange; lo += 64 {

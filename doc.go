@@ -33,9 +33,17 @@
 // The guard runtime decouples goroutines from the paper's fixed thread
 // slots: the structures' plain methods are guardless (each operation
 // leases a slot from a lock-free pool, parking when all are held),
-// Domain.Pin/Unpin amortize that lease over a batch, and
+// Domain.Pin/Unpin amortize that lease over many operations, and
 // Domain.Guard/TryGuard/AcquireGuard hand out explicit Guards for fixed
 // worker sets. See the Guard type's documentation for the full picture.
+//
+// Guard.Batch and its guardless twin Domain.Batch are the one batching
+// entry point: a closure of Guarded calls runs under one lease, one
+// protection span and one retire burst, and keeps its own results.
+// Inside a batch, allocate before protecting: a stalled allocation drops
+// the batch's protections while the emergency pipeline runs (see
+// Guard.TryAlloc). HashMap.MultiGet, MultiDelete and TryMultiPut are
+// thin loops over Domain.Batch.
 //
 // See ExampleDomain for the quickstart and ExampleGuard for building a
 // custom structure on the primitives.
@@ -43,6 +51,7 @@
 // # Layout
 //
 //	domain.go           Domain[T], Guard, Ref[T], Atomic[T], SchemeKind
+//	batch.go            Guard.Batch and Domain.Batch
 //	stack.go            public Treiber stack
 //	queue.go            public Michael–Scott queue
 //	wfqueue.go          public Kogan–Petrank and CRTurn wait-free queues

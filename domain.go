@@ -272,19 +272,22 @@ func (d *Domain[T]) scheme() *schemeBox { return d.smr.Load() }
 // construction and hold it for life. Every method resolves the current
 // box, so a structure built before a Switch keeps working after it; each
 // call happens under a held guard, and Switch swaps only with every guard
-// released, so no single operation ever straddles two schemes.
+// released, so no single operation ever straddles two schemes. Begin and
+// Clear honour an open Batch span on the tid exactly as Guard.Begin/End
+// do, so a queue operation inside a batch leaves the span open.
 type liveScheme[T any] struct{ d *Domain[T] }
 
 func (l liveScheme[T]) Name() string                 { return l.d.scheme().s.Name() }
-func (l liveScheme[T]) Begin(tid int)                { l.d.scheme().s.Begin(tid) }
-func (l liveScheme[T]) Clear(tid int)                { l.d.scheme().s.Clear(tid) }
+func (l liveScheme[T]) Begin(tid int)                { l.d.begin(tid) }
+func (l liveScheme[T]) Clear(tid int)                { l.d.end(tid) }
 func (l liveScheme[T]) Arena() *mem.Arena            { return l.d.arena }
 func (l liveScheme[T]) Retirer() *reclaim.Retirer    { return l.d.scheme().s.Retirer() }
 func (l liveScheme[T]) Retire(tid int, h mem.Handle) { l.d.scheme().s.Retire(tid, h) }
 
 // Alloc routes the internal structures' node allocations through the
 // Domain's backpressure pipeline, so a WFQueue or TurnQueue node
-// allocation under pressure gets the same emergency scans and retries a
+// allocation under pressure gets the same emergency scans and retries —
+// and, inside a Batch, the same span drop (see allocSlow) — a
 // Guard.TryAlloc does before reporting exhaustion.
 func (l liveScheme[T]) Alloc(tid int) (mem.Handle, bool) {
 	h, err := l.d.allocHandle(tid)
@@ -301,13 +304,19 @@ type cacheSlot[T any] struct {
 	_ [56]byte
 }
 
-// tidStats is one tid's lease and batch accounting, written only by the
-// tid's current owner as a load then a store (no contended read-modify-
-// write); the registry CAS and the guard pool order one owner's stores
-// before the next owner's loads. The fields are atomics only so Telemetry
-// can sum the records concurrently. A record outlives every Guard that
-// carries its tid, so Release and spareTid lose nothing and every counter
-// only grows.
+// tidStats is one tid's lease and batch record, written only by the tid's
+// current owner as a load then a store (no contended read-modify-write);
+// the registry CAS and the guard pool order one owner's stores before the
+// next owner's loads. The counters are atomics only so Telemetry can sum
+// the records concurrently. A record outlives every Guard that carries
+// its tid, so Release and spareTid lose nothing and every counter only
+// grows.
+//
+// The batch state sits here, not on the Guard, because the internal
+// wait-free queues drive the scheme by tid (liveScheme): Guard.Begin/End,
+// liveScheme.Begin/Clear and allocSlow all read batching through the tid,
+// so one Batch span covers every structure alike. Telemetry never reads
+// the plain fields.
 //
 // PERFORMANCE: each record fills its own cache line, so a lease writes no
 // line another tid writes. With the hits on a shared Domain atomic (a
@@ -317,9 +326,13 @@ type cacheSlot[T any] struct {
 type tidStats struct {
 	hits       atomic.Uint64 // Pin/TryGuard lease-cache hits
 	batchHits  atomic.Uint64 // pinBatch lease-cache hits
-	batchOps   atomic.Uint64 // completed batches
+	batchOps   atomic.Uint64 // Guard.Batch calls; a Domain.Batch counts as its batch lease
 	batchItems atomic.Uint64 // items those batches carried
-	_          [32]byte
+
+	batching bool   // a Batch span is open on this tid (see batch.go)
+	items    uint64 // the open batch's items so far
+	retired  uint64 // retires of the open batch's bursts already ended
+	_        [8]byte
 }
 
 // bump adds n to an owner-written tidStats counter.
@@ -558,7 +571,7 @@ func (g *Guard[T]) claim() bool {
 }
 
 // Pin leases a guard to the calling goroutine until Unpin: the cheap way
-// to hold a guard across a batch of operations. It is what every guardless
+// to hold a guard across many operations. It is what every guardless
 // structure method uses per operation; pinning hoists that lease out of a
 // hot loop. The fast path is a per-P cache hit (no shared-memory
 // contention at all); a miss acquires from the pool, parking like
@@ -567,36 +580,39 @@ func (g *Guard[T]) claim() bool {
 // A pinned guard is a plain *Guard: use it with the Guarded method
 // variants, then return it with Unpin (not Release, which would bypass the
 // cache). Pin never fails — callers that need a timeout use AcquireGuard.
-func (d *Domain[T]) Pin() *Guard[T] {
-	if g, ok := d.fromCache(); ok {
-		bump(&d.stats[g.tid].hits, 1)
-		return g
-	}
-	d.cacheMisses.Add(1)
-	// Try the pool directly before AcquireGuard: its TryGuard prelude
-	// would rescan the lease cache that just missed.
-	if tid, ok := d.guards.TryAcquire(); ok {
-		return &Guard[T]{d: d, tid: tid, slot: -1}
-	}
-	g, _ := d.AcquireGuard(context.Background()) // never errs: ctx has no deadline
-	return g
-}
+func (d *Domain[T]) Pin() *Guard[T] { return d.lease(false) }
 
-// pinBatch is Pin for the guardless batch entry points (MultiGet,
-// PushAll, ...): the same lease, with the hit/miss split recorded on the
-// batch-path counters, which Telemetry reports on their own and inside
-// the overall totals.
-func (d *Domain[T]) pinBatch() *Guard[T] {
+// pinBatch is Pin for Domain.Batch: the same lease, with the hit/miss
+// split recorded on the batch-path counters, which Telemetry reports on
+// their own and inside the overall totals.
+func (d *Domain[T]) pinBatch() *Guard[T] { return d.lease(true) }
+
+// lease is the one lease path behind Pin and pinBatch. Every lease counts
+// exactly one hit or one miss: a miss goes straight to the pool's Acquire,
+// whose spare poll may still hand over a cached guard's tid, but as a pool
+// acquisition, never as a second, cache-hit count.
+func (d *Domain[T]) lease(batch bool) *Guard[T] {
 	if g, ok := d.fromCache(); ok {
-		bump(&d.stats[g.tid].batchHits, 1)
+		if s := &d.stats[g.tid]; batch {
+			bump(&s.batchHits, 1)
+		} else {
+			bump(&s.hits, 1)
+		}
 		return g
 	}
-	d.batchCacheMisses.Add(1)
-	if tid, ok := d.guards.TryAcquireBatch(); ok {
-		return &Guard[T]{d: d, tid: tid, slot: -1}
+	var tid int
+	ok := false
+	if batch {
+		d.batchCacheMisses.Add(1)
+		// Marks the pool's acquire event as a batch lease in the trace.
+		tid, ok = d.guards.TryAcquireBatch()
+	} else {
+		d.cacheMisses.Add(1)
 	}
-	g, _ := d.AcquireGuard(context.Background()) // never errs: ctx has no deadline
-	return g
+	if !ok {
+		tid, _ = d.guards.Acquire(context.Background(), d.spareTid) // never errs: ctx has no deadline
+	}
+	return &Guard[T]{d: d, tid: tid, slot: -1}
 }
 
 // Unpin returns a pinned guard to the Domain's lease cache, dropping any
@@ -710,6 +726,14 @@ func (d *Domain[T]) allocHandle(tid int) (mem.Handle, error) {
 // tid's retry can claim them. A guard whose own ring is empty (it just
 // started, or has only read) is therefore still rescued, as long as some
 // guard is retiring or some idle guard holds a backlog.
+//
+// Inside a Batch the span's reservations would ride along into the
+// pipeline — under EBR, pinning the very blocks the batch just retired.
+// So a stall inside a batch ends the retire burst, clears the span, runs
+// the pipeline unprotected and reopens both before it returns. That is
+// safe because every allocation site in the structures' Guarded bodies
+// runs before the item's Begin or restarts its traversal afterwards: no
+// caller still uses a reservation the drop revokes (see Guard.TryAlloc).
 func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 	d.allocStalls.Add(1)
 	st := d.arena.Stats()
@@ -720,6 +744,14 @@ func (d *Domain[T]) allocSlow(tid int) (mem.Handle, error) {
 		// The leak baseline has no judge: a scan can never free anything,
 		// so retrying would only delay the inevitable verdict.
 		return 0, ErrArenaExhausted
+	}
+	if s := &d.stats[tid]; s.batching {
+		s.retired += uint64(rt.EndBurst(tid))
+		box.s.Clear(tid)
+		defer func() {
+			box.s.Begin(tid)
+			rt.BeginBurst(tid)
+		}()
 	}
 	d.arena.AddWaiter(1)
 	defer d.arena.AddWaiter(-1)
@@ -848,13 +880,20 @@ type Telemetry struct {
 	GuardCacheHits   uint64 `json:"guard_cache_hits"`   // guards claimed out of the lease cache
 	GuardCacheMisses uint64 `json:"guard_cache_misses"` // Pin/guardless ops that had to hit the pool
 
-	// Batched-operation counters (MultiGet, PushAll, DequeueN, ...):
-	// BatchOps counts completed batches, BatchedItems the operations they
-	// carried (BatchedItems/BatchOps is the realized mean batch size).
-	// BatchGuardCacheHits/Misses split out the lease-cache traffic of the
-	// guardless batch entry points — with one lease per burst, hits should
-	// track BatchOps, not BatchedItems. BatchOps, BatchedItems and
-	// BatchGuardCacheHits are sums of per-tid counters and never decrease.
+	// Batched-operation counters (Guard.Batch, Domain.Batch and the
+	// HashMap Multi* loops over it). BatchOps counts batches: a
+	// Domain.Batch at its lease, a Guard.Batch as it opens. BatchedItems
+	// counts the items they carried (BatchedItems/BatchOps is the realized
+	// mean batch size), added when each batch closes. An item is one
+	// operation span the batch absorbed: one Begin inside the batch, from
+	// a Guard or from a wait-free queue's own protocol. Every Guarded call
+	// on the built-in structures is one item, except that a Tree Put that
+	// falls through to an insert, and an operation whose lazy allocation
+	// stalls mid-traversal (it drops and retakes its span), count two.
+	// BatchGuardCacheHits/Misses split out the lease-cache traffic of
+	// Domain.Batch — with one lease per batch, they sum to the guardless
+	// share of BatchOps. All four only grow; BatchOps, BatchedItems and
+	// BatchGuardCacheHits are sums of per-tid counters.
 	BatchOps              uint64 `json:"batch_ops,omitempty"`
 	BatchedItems          uint64 `json:"batched_items,omitempty"`
 	BatchGuardCacheHits   uint64 `json:"batch_guard_cache_hits"`
@@ -888,6 +927,9 @@ func (d *Domain[T]) Telemetry() Telemetry {
 		bops += s.batchOps.Load()
 		bitems += s.batchItems.Load()
 	}
+	// A Domain.Batch counts as its batch lease, hit or miss (see tidStats).
+	bmisses := d.batchCacheMisses.Load()
+	bops += bhits + bmisses
 	t := Telemetry{
 		Scheme:      box.kind.String(),
 		MaxSteps:    probe.MaxSteps,
@@ -911,12 +953,12 @@ func (d *Domain[T]) Telemetry() Telemetry {
 		GuardAcquires:    gp.Acquires,
 		GuardParks:       gp.Parks,
 		GuardCacheHits:   hits + bhits,
-		GuardCacheMisses: d.cacheMisses.Load() + d.batchCacheMisses.Load(),
+		GuardCacheMisses: d.cacheMisses.Load() + bmisses,
 
 		BatchOps:              bops,
 		BatchedItems:          bitems,
 		BatchGuardCacheHits:   bhits,
-		BatchGuardCacheMisses: d.batchCacheMisses.Load(),
+		BatchGuardCacheMisses: bmisses,
 
 		SchemeSwitches: d.schemeSwitches.Load(),
 
@@ -1287,9 +1329,10 @@ func (a *Atomic[T]) CompareAndSwap(old, new Ref[T]) bool {
 //     lease-cache hit writes only the guard's own state word, its tid's
 //     counter record and the calling P's sync.Pool slot — nothing another
 //     goroutine's lease writes.
-//   - Pinned: Domain.Pin / Domain.Unpin bracket a batch of Guarded-variant
+//   - Pinned: Domain.Pin / Domain.Unpin bracket a run of Guarded-variant
 //     calls with one lease — the guardless path's cost, paid once per
-//     batch instead of once per operation.
+//     run instead of once per operation. Domain.Batch goes further: one
+//     lease, one protection span and one retire burst for the run.
 //   - Explicit: Domain.Guard (panics when exhausted — a sizing bug),
 //     Domain.TryGuard (polls), or Domain.AcquireGuard (parks, honours a
 //     context) paired with Release. For fixed worker sets and hot loops.
@@ -1297,14 +1340,15 @@ func (a *Atomic[T]) CompareAndSwap(old, new Ref[T]) bool {
 // A custom data structure built on Guards follows the paper's operation
 // shape: Begin, any number of Protect/Load/Store/CompareAndSwap/Retire
 // calls, then End. The built-in structures do this internally — their
-// callers at most lease the Guard.
+// callers at most lease the Guard. Guard.Batch stretches that shape over
+// many operations (see batch.go).
 type Guard[T any] struct {
-	// PERFORMANCE: not padded. The lease-hot fields (d, tid, state, slot,
-	// batching) fill the first 32 bytes of an 80-byte, 16-byte-aligned
-	// object, so no cache line holds hot bytes of two heap neighbours.
-	// Padding to 128 bytes measured 23–27 ns/op for a parallel Pin+Unpin
-	// pair (2 goroutines, 2-vCPU x86-64) against 22–26 unpadded, even with
-	// the Guards allocated back to back. Keep these fields first.
+	// PERFORMANCE: padded to 64 bytes, one Go size class that is also one
+	// cache line, so no line holds the lease-hot state words of two
+	// guards. Unpadded the Guard is 24 bytes, and guards allocated back to
+	// back share a line: a parallel Pin+Unpin pair (BenchmarkPinUnpin, 2
+	// goroutines, 2-vCPU x86-64) then read 24–111 ns/op, with 4 of 21
+	// runs above 35, against 23–30 ns/op over 24 runs padded.
 	d   *Domain[T]
 	tid int
 
@@ -1313,32 +1357,7 @@ type Guard[T any] struct {
 	state atomic.Uint32
 	slot  int32
 
-	// batching is set while a batch context is open (see batch.go): Begin
-	// and End then leave the batch-wide span alone. Owner-goroutine only.
-	batching bool
-	// batchNodes are reusable backing arrays for the up-front allocation
-	// runs of the batch write APIs (scratchNodes), so a guard running
-	// bursts in a hot loop allocates its node lists once, not per burst.
-	batchNodes [2][]Ref[T]
-}
-
-// noteBatch accounts one completed batch of items operations on the
-// guard's tid record (owner-only, see tidStats).
-func (g *Guard[T]) noteBatch(items int) {
-	s := &g.d.stats[g.tid]
-	bump(&s.batchOps, 1)
-	bump(&s.batchItems, uint64(items))
-}
-
-// scratchNodes returns an empty slice with capacity at least n backed by
-// the guard's reusable batch scratch (which of 0 or 1 — the tree's batch
-// insert needs two runs live at once). Valid only until the next
-// scratchNodes call with the same index; never returned to callers.
-func (g *Guard[T]) scratchNodes(which, n int) []Ref[T] {
-	if cap(g.batchNodes[which]) < n {
-		g.batchNodes[which] = make([]Ref[T], 0, n)
-	}
-	return g.batchNodes[which][:0]
+	_ [40]byte
 }
 
 // Domain returns the Domain this guard belongs to.
@@ -1365,25 +1384,32 @@ func (g *Guard[T]) Release() {
 
 // Begin marks the start of a data-structure operation. Epoch- and
 // interval-based schemes announce activity here; WFE, HE and HP no-op.
-// Inside a batch context the span opened at beginBatch already covers
-// the item, so Begin does nothing — which lets the batch APIs reuse the
-// per-op Guarded method bodies unchanged (see batch.go).
-func (g *Guard[T]) Begin() {
-	if g.batching {
-		return
-	}
-	g.d.scheme().s.Begin(g.tid)
-}
+// Inside a Batch the batch's span already covers the operation, so Begin
+// only counts it as a batch item — which lets a batch run the per-op
+// Guarded method bodies unchanged (see batch.go).
+func (g *Guard[T]) Begin() { g.d.begin(g.tid) }
 
 // End marks the end of an operation, dropping every protection the guard
 // holds (the paper's clear()). Refs obtained from Protect must not be
-// dereferenced after End. Inside a batch context End does nothing: the
-// batch-wide span stays open until endBatch clears it.
-func (g *Guard[T]) End() {
-	if g.batching {
+// dereferenced after End. Inside a Batch End does nothing: the batch's
+// span stays open until the batch returns.
+func (g *Guard[T]) End() { g.d.end(g.tid) }
+
+// begin is Guard.Begin by tid, shared with liveScheme.
+func (d *Domain[T]) begin(tid int) {
+	if s := &d.stats[tid]; s.batching {
+		s.items++
 		return
 	}
-	g.d.scheme().s.Clear(g.tid)
+	d.scheme().s.Begin(tid)
+}
+
+// end is Guard.End by tid, shared with liveScheme.
+func (d *Domain[T]) end(tid int) {
+	if d.stats[tid].batching {
+		return
+	}
+	d.scheme().s.Clear(tid)
 }
 
 // Alloc allocates a block holding v and returns an owned (not yet
@@ -1409,6 +1435,14 @@ func (g *Guard[T]) Alloc(v T) Ref[T] {
 // after the Domain's emergency-reclamation pipeline it returns
 // ErrArenaExhausted instead of panicking. The structures' Try* methods
 // are built on it.
+//
+// Allocate before protecting. An allocation that finds the arena
+// exhausted runs the pipeline with the guard's protections dropped: per
+// operation because the caller must End first (see tryAllocFast), and
+// inside a Batch because the stall itself clears the batch's span, the
+// earlier items' protections and any the current one holds included.
+// Refs protected before a TryAlloc inside a Batch must therefore be
+// protected again after it, as a fresh traversal would.
 func (g *Guard[T]) TryAlloc(v T) (Ref[T], error) {
 	h, err := g.d.allocHandle(g.tid)
 	if err != nil {

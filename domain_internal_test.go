@@ -78,3 +78,64 @@ func TestSpareTidKeepsCounters(t *testing.T) {
 		t.Fatalf("GuardsFree = %d after returning the spare tid, want 1", free)
 	}
 }
+
+// TestBatchSpanSurvivesQueueItem: the wait-free queues drive the scheme's
+// Begin/Clear themselves (through liveScheme), and inside a Batch those
+// calls must leave the batch's span open. On EBR the span is guard A's
+// epoch announcement, so a block A protects after a queue item stays
+// pinned: a second guard that unlinks, retires and scans it, advancing
+// the epoch as far as it can, must not free it while A's batch is open.
+// Once the batch ends the same scans free it — the control that shows
+// the check can see a free.
+func TestBatchSpanSurvivesQueueItem(t *testing.T) {
+	queues := map[string]func(*Domain[uint64]) func(*Guard[uint64]){
+		"WFQueue": func(d *Domain[uint64]) func(*Guard[uint64]) {
+			q := NewWFQueue[uint64](d)
+			return func(g *Guard[uint64]) { q.EnqueueGuarded(g, 1); q.DequeueGuarded(g) }
+		},
+		"TurnQueue": func(d *Domain[uint64]) func(*Guard[uint64]) {
+			q := NewTurnQueue[uint64](d)
+			return func(g *Guard[uint64]) { q.EnqueueGuarded(g, 1); q.DequeueGuarded(g) }
+		},
+	}
+	for name, build := range queues {
+		t.Run(name, func(t *testing.T) {
+			d, err := NewDomain[uint64](Options{Scheme: EBR, Capacity: 1 << 10, MaxGuards: 2, Debug: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			queueItem := build(d)
+			a, b := d.Guard(), d.Guard()
+			defer a.Release()
+			defer b.Release()
+			var root Atomic[uint64]
+			root.Store(b.Alloc(42))
+
+			rt := d.scheme().s.Retirer()
+			clock := d.scheme().s.(interface{ AdvanceClock(int) })
+			reclaim := func() uint64 {
+				before := d.arena.Stats().Frees
+				for i := 0; i < 4; i++ {
+					clock.AdvanceClock(b.tid)
+					rt.Scan(b.tid)
+				}
+				return d.arena.Stats().Frees - before
+			}
+			a.Batch(func() {
+				queueItem(a)
+				r := a.Protect(&root, 0)
+				root.Store(Ref[uint64]{})
+				b.Retire(r)
+				if freed := reclaim(); freed != 0 {
+					t.Fatalf("%d blocks freed while A's batch protects one: a queue item closed the span", freed)
+				}
+				if v := a.Value(r); v != 42 {
+					t.Fatalf("protected block reads %d, want 42", v)
+				}
+			})
+			if freed := reclaim(); freed != 1 {
+				t.Fatalf("%d blocks freed after the batch ended, want the retired one", freed)
+			}
+		})
+	}
+}

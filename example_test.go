@@ -293,29 +293,42 @@ func ExampleHashMap_TryPut() {
 	// filled to capacity: true
 }
 
-// ExampleHashMap_MultiGet: the batch entry points run a whole burst
-// under one guard lease and — on the era, epoch and interval schemes —
-// one protection span, with every unlink in the burst retired as a
-// single batch. Results are positional: vals[i]/oks[i] answer keys[i],
-// so duplicate keys in one burst are fine. Batches amortize overhead,
-// not semantics — each item is the same linearizable operation the
-// per-op method runs.
-func ExampleHashMap_MultiGet() {
-	d, _ := wfe.NewDomain[string](wfe.Options{Scheme: wfe.WFE, Capacity: 1 << 10})
+// ExampleDomain_Batch runs many operations as one batch: one guard lease,
+// one protection span and one retire burst cover every Guarded call the
+// closure makes, and the closure keeps the results itself. Batches
+// amortize overhead, not semantics — each call is the same linearizable
+// operation it is outside a batch. A Try loop inside the batch gives
+// partial progress: stop at the first ErrArenaExhausted, and the items
+// before it stay applied. (The Leak scheme never recycles, which makes
+// the 4-block arena's exhaustion deterministic here.)
+func ExampleDomain_Batch() {
+	d, _ := wfe.NewDomain[string](wfe.Options{Scheme: wfe.Leak, Capacity: 4})
 	m := wfe.NewHashMap[string](d, 16)
 
-	m.MultiPut([]uint64{1, 2, 3}, []string{"one", "two", "three"})
-	vals, oks := m.MultiGet([]uint64{2, 7, 1})
-	for i, v := range vals {
-		fmt.Println(v, oks[i])
-	}
-	oks = m.MultiDelete([]uint64{1, 2, 3, 4})
-	fmt.Println("deleted:", oks)
+	keys := []uint64{1, 2, 3, 4, 5, 6}
+	names := []string{"one", "two", "three", "four", "five", "six"}
+	applied := 0
+	var err error
+	d.Batch(func(g *wfe.Guard[string]) {
+		for ; applied < len(keys); applied++ {
+			if err = m.TryPutGuarded(g, keys[applied], names[applied]); err != nil {
+				return
+			}
+		}
+	})
+	fmt.Println("applied:", applied, "exhausted:", errors.Is(err, wfe.ErrArenaExhausted))
+
+	var vals [3]string
+	var oks [3]bool
+	d.Batch(func(g *wfe.Guard[string]) {
+		for i, k := range []uint64{2, 7, 4} {
+			vals[i], oks[i] = m.GetGuarded(g, k)
+		}
+	})
+	fmt.Printf("%q %v\n", vals, oks)
 	// Output:
-	// two true
-	//  false
-	// one true
-	// deleted: [true true true false]
+	// applied: 4 exhausted: true
+	// ["two" "" "four"] [true false true]
 }
 
 // ExampleTree: the Natarajan–Mittal external binary search tree. Keys are

@@ -83,9 +83,9 @@ func runKVFuzz(t *testing.T, d *wfe.Domain[uint64], api conformAPI, data []byte)
 	}
 }
 
-// runKVBatchFuzz is runKVFuzz for the HashMap's batch entry points:
-// consecutive ops of the same class are coalesced into runs of at most
-// width and flushed through MultiDelete/MultiGet/MultiPut, validating
+// runKVBatchFuzz is runKVFuzz run in batches: consecutive ops of the
+// same class are coalesced into runs of at most width and flushed as one
+// Guard.Batch of DeleteGuarded/GetGuarded/PutGuarded calls, validating
 // every positional result against the oracle. The batch items run
 // sequentially on one guard, so per-item expectations are exactly the
 // per-op ones — duplicates within a run included. Inserts have no batch
@@ -101,29 +101,47 @@ func runKVBatchFuzz(t *testing.T, d *wfe.Domain[uint64], m *wfe.HashMap[uint64],
 		ops = ops[:fuzzMaxOps]
 	}
 	run := -1 // op class of the pending run, or -1
-	var ks, vs []uint64
+	var ks, vs, vals []uint64
+	var oks []bool
 	flush := func() {
+		if run < 0 {
+			return
+		}
+		// Run the pending ops as one batch, keeping each item's result.
+		vals, oks = vals[:0], oks[:0]
+		g.Batch(func() {
+			for j, k := range ks {
+				var v uint64
+				ok := true
+				switch run {
+				case 1:
+					ok = m.DeleteGuarded(g, k)
+				case 2:
+					v, ok = m.GetGuarded(g, k)
+				case 3:
+					m.PutGuarded(g, k, vs[j])
+				}
+				vals, oks = append(vals, v), append(oks, ok)
+			}
+		})
 		switch run {
 		case 1: // delete run
-			oks := m.MultiDeleteGuarded(g, ks)
 			for j, k := range ks {
 				_, want := model[k]
 				if oks[j] != want {
-					t.Fatalf("MultiDelete[%d](%d) = %v, model says %v", j, k, oks[j], want)
+					t.Fatalf("batch delete[%d](%d) = %v, model says %v", j, k, oks[j], want)
 				}
 				delete(model, k)
 			}
 		case 2: // get run
-			vals, oks := m.MultiGetGuarded(g, ks)
 			for j, k := range ks {
 				wantV, want := model[k]
 				if oks[j] != want || (want && vals[j] != wantV) {
-					t.Fatalf("MultiGet[%d](%d) = %d,%v, model says %d,%v",
+					t.Fatalf("batch get[%d](%d) = %d,%v, model says %d,%v",
 						j, k, vals[j], oks[j], wantV, want)
 				}
 			}
 		case 3: // put run
-			m.MultiPutGuarded(g, ks, vs)
 			for j, k := range ks { // sequential application: last value wins
 				model[k] = vs[j]
 			}
@@ -159,7 +177,7 @@ func runKVBatchFuzz(t *testing.T, d *wfe.Domain[uint64], m *wfe.HashMap[uint64],
 func FuzzHashMap(f *testing.F) {
 	fuzzSeeds(f)
 	// Batch-mode seeds: byte 1 with the top bit set routes op runs
-	// through the Multi* entry points (low nibble picks the width).
+	// through batches (low nibble picks the width).
 	f.Add([]byte{0, 0x81, 0xC1, 0xC2, 0xC3, 0x41, 0x42, 0x81, 0x82, 0x83})
 	f.Add([]byte{1, 0x8E, 0x01, 0x01, 0xC1, 0xC1, 0x41, 0x41, 0x81, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -169,8 +187,8 @@ func FuzzHashMap(f *testing.F) {
 		d := fuzzDomain(t, data[0], 1)
 		m := wfe.NewHashMap[uint64](d, 8) // few buckets: long chains
 		// The second byte is the batch selector: top bit on sends op runs
-		// through MultiPut/MultiDelete/MultiGet instead of the per-op
-		// methods, with the low nibble sizing the coalescing window.
+		// through Guard.Batch instead of one operation at a time, with
+		// the low nibble sizing the coalescing window.
 		if len(data) > 1 && data[1]&0x80 != 0 {
 			runKVBatchFuzz(t, d, m, int(data[1]&0x0F)+2, data[2:])
 			return

@@ -276,14 +276,6 @@ func (m *HashMap[T]) TryPutGuarded(g *Guard[T], key uint64, val T) error {
 	g.StoreMeta(n, mapKey, key)
 	g.Begin()
 	defer g.End()
-	m.putNode(g, key, n)
-	return nil
-}
-
-// putNode links the pre-allocated node n (key metadata already stamped)
-// under key, replacing any existing node (mark, swing, retire). The
-// caller owns the protected section; n is consumed unconditionally.
-func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
 	head := m.bucket(key)
 	for {
 		found, w := m.find(g, head, key)
@@ -296,7 +288,7 @@ func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
 			g.Store(n, mapNext, w.next)
 			if m.casPrev(g, head, w.prev, w.cur, n) {
 				g.Retire(w.cur)
-				return
+				return nil
 			}
 			// A traversal unlinked (and retired) the marked node first;
 			// retry — the next find will take the insert path.
@@ -304,102 +296,52 @@ func (m *HashMap[T]) putNode(g *Guard[T], key uint64, n Ref[T]) {
 		}
 		g.Store(n, mapNext, w.cur)
 		if m.casPrev(g, head, w.prev, w.cur, n) {
-			return
+			return nil
 		}
 	}
 }
 
-// MultiGet looks up every key in one batch: one guard lease and — on
-// era, epoch and interval schemes — one protection span cover the whole
-// burst (see batch.go for the amortization model). Results are
-// positional: vals[i], oks[i] answer keys[i].
+// MultiGet looks up every key in one Domain.Batch: one lease and one
+// protection span cover the whole run. Results are positional: vals[i],
+// oks[i] answer keys[i].
 func (m *HashMap[T]) MultiGet(keys []uint64) (vals []T, oks []bool) {
-	g := m.d.pinBatch()
-	defer m.d.unpin(g)
-	return m.MultiGetGuarded(g, keys)
-}
-
-// MultiGetGuarded is MultiGet on a caller-held guard.
-func (m *HashMap[T]) MultiGetGuarded(g *Guard[T], keys []uint64) (vals []T, oks []bool) {
-	vals = make([]T, len(keys))
-	oks = make([]bool, len(keys))
-	g.runBatch(len(keys), func(i int) bool {
-		vals[i], oks[i] = m.GetGuarded(g, keys[i])
-		return true
+	vals, oks = make([]T, len(keys)), make([]bool, len(keys))
+	m.d.Batch(func(g *Guard[T]) {
+		for i, k := range keys {
+			vals[i], oks[i] = m.GetGuarded(g, k)
+		}
 	})
 	return vals, oks
 }
 
-// MultiDelete removes every key in one batch; oks[i] reports whether
-// keys[i] was present. The unlinked nodes are retired as one burst at
-// the end of the batch, so the cleanup cadence ticks once instead of
-// once per key.
+// MultiDelete removes every key in one Domain.Batch; oks[i] reports
+// whether keys[i] was present. The unlinked nodes retire as one burst, so
+// the cleanup cadence ticks once instead of once per key.
 func (m *HashMap[T]) MultiDelete(keys []uint64) (oks []bool) {
-	g := m.d.pinBatch()
-	defer m.d.unpin(g)
-	return m.MultiDeleteGuarded(g, keys)
-}
-
-// MultiDeleteGuarded is MultiDelete on a caller-held guard.
-func (m *HashMap[T]) MultiDeleteGuarded(g *Guard[T], keys []uint64) (oks []bool) {
 	oks = make([]bool, len(keys))
-	g.runBatch(len(keys), func(i int) bool {
-		oks[i] = m.DeleteGuarded(g, keys[i])
-		return true
+	m.d.Batch(func(g *Guard[T]) {
+		for i, k := range keys {
+			oks[i] = m.DeleteGuarded(g, k)
+		}
 	})
 	return oks
 }
 
-// MultiPut stores every key→val pair in one batch. Like Put it panics
-// when the arena stays exhausted after the emergency-reclamation
-// pipeline; pairs already applied stay applied (use TryMultiPut to
-// observe partial progress instead).
-func (m *HashMap[T]) MultiPut(keys []uint64, vals []T) {
-	g := m.d.pinBatch()
-	defer m.d.unpin(g)
-	m.MultiPutGuarded(g, keys, vals)
-}
-
-// MultiPutGuarded is MultiPut on a caller-held guard.
-func (m *HashMap[T]) MultiPutGuarded(g *Guard[T], keys []uint64, vals []T) {
-	if _, err := m.TryMultiPutGuarded(g, keys, vals); err != nil {
-		panic(exhaustedPanic(m.d.arena.Capacity()))
-	}
-}
-
-// TryMultiPut is MultiPut with backpressure: every node the batch needs
-// is allocated up front, before any protection is announced (the PR 9
-// discipline, batch-wide). When the arena runs out mid-run the pairs
-// whose nodes were obtained are still applied, and TryMultiPut reports
-// that prefix length alongside ErrArenaExhausted — callers resume from
-// keys[applied:].
+// TryMultiPut stores every key→val pair in one Domain.Batch, stopping at
+// the first pair whose node the arena cannot supply after the emergency-
+// reclamation pipeline. The pairs before it stay applied: applied is that
+// prefix length, reported alongside ErrArenaExhausted — callers resume
+// from keys[applied:].
 func (m *HashMap[T]) TryMultiPut(keys []uint64, vals []T) (applied int, err error) {
-	g := m.d.pinBatch()
-	defer m.d.unpin(g)
-	return m.TryMultiPutGuarded(g, keys, vals)
-}
-
-// TryMultiPutGuarded is TryMultiPut on a caller-held guard.
-func (m *HashMap[T]) TryMultiPutGuarded(g *Guard[T], keys []uint64, vals []T) (applied int, err error) {
 	if len(keys) != len(vals) {
-		panic("wfe: MultiPut keys/vals length mismatch")
+		panic("wfe: TryMultiPut keys/vals length mismatch")
 	}
-	// Allocate the whole run before the batch opens its protection span:
-	// an exhausted-arena stall then runs the emergency pipeline with no
-	// reservations held, exactly as in the per-op TryPutGuarded.
-	nodes := g.scratchNodes(0, len(keys))
-	for i := range keys {
-		n, aerr := g.TryAlloc(vals[i])
-		if aerr != nil {
-			err = aerr
-			break
+	m.d.Batch(func(g *Guard[T]) {
+		for ; applied < len(keys); applied++ {
+			if err = m.TryPutGuarded(g, keys[applied], vals[applied]); err != nil {
+				return
+			}
 		}
-		g.StoreMeta(n, mapKey, keys[i])
-		nodes = append(nodes, n)
-	}
-	applied = g.runBatch(len(nodes), func(i int) bool {
-		m.putNode(g, keys[i], nodes[i])
-		return true
 	})
 	return applied, err
 }

@@ -17,7 +17,7 @@ var BatchSizes = []int{1, 8, 32, 128}
 // BatchResult is one point of the batched-operations ablation
 // (cmd/wfebench -ablation batch): the write-heavy 50% put / 50% delete
 // hash-map mix driven guardlessly either per operation (BatchSize 0) or
-// through the MultiPut/MultiDelete batch APIs at one width. Speedup is
+// in Domain.Batch bursts of one width. Speedup is
 // against the per-op baseline at the same scheme and goroutine count —
 // the amortization the batch context buys (one lease, one protection
 // span on the era/epoch/interval schemes, one retire burst).
@@ -29,7 +29,7 @@ type BatchResult struct {
 	Ops        uint64  `json:"ops"`
 	Speedup    float64 `json:"speedup"` // vs BatchSize 0, same scheme/goroutines
 	// BatchLeaseHitRate is the batch-path lease-cache hit fraction, the
-	// telemetry the batch wrappers keep separately from per-op pins.
+	// telemetry Domain.Batch keeps separately from per-op pins.
 	BatchLeaseHitRate float64 `json:"batch_lease_hit_rate"`
 	Exhausted         bool    `json:"exhausted"`
 }
@@ -129,11 +129,15 @@ func runBatchPoint(kind wfe.SchemeKind, goroutines, width int, opt Options) Batc
 					bkeys[i] = uint64(r.Int63n(int64(opt.KeyRange)))
 					bvals[i] = bkeys[i]
 				}
-				if insert {
-					m.MultiPut(bkeys, bvals)
-				} else {
-					m.MultiDelete(bkeys)
-				}
+				d.Batch(func(g *wfe.Guard[uint64]) {
+					for i, k := range bkeys {
+						if insert {
+							m.PutGuarded(g, k, bvals[i])
+						} else {
+							m.DeleteGuarded(g, k)
+						}
+					}
+				})
 				insert = !insert
 				ops += uint64(width)
 				if ops >= next {

@@ -231,8 +231,8 @@ func (p *Pool) obtained(tid int) bool {
 // going up — the id is returned and the attempt reported gated.
 func (p *Pool) TryAcquire() (int, bool) { return p.tryAcquire(0) }
 
-// TryAcquireBatch is TryAcquire on behalf of a batch entry point
-// (MultiGet, PushAll, ...): identical semantics, but the acquire
+// TryAcquireBatch is TryAcquire on behalf of a batch lease
+// (Domain.Batch): identical semantics, but the acquire
 // lifecycle event carries the batch marker in its B payload, so a trace
 // can attribute pool traffic to batch leases — with one lease per burst,
 // batch-marked acquires should stay rare next to the per-op kind.

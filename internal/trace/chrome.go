@@ -63,7 +63,6 @@ func WriteChrome(w io.Writer, recs []Record) error {
 			ev.Args = map[string]uint64{"blocks": r.A}
 		case KindBatchBegin:
 			ev.Name, ev.Ph, ev.S = "batch", "B", ""
-			ev.Args = map[string]uint64{"intended": r.A}
 		case KindBatchEnd:
 			ev.Name, ev.Ph, ev.S = "batch", "E", ""
 			ev.Args = map[string]uint64{"items": r.A, "retires": r.B}

@@ -27,7 +27,7 @@ const (
 	KindInvalid Kind = iota
 	// KindGuardAcquire: a pool guard was acquired. A is the source
 	// (AcquireFreelist, AcquireHandoff); B is 1 when the acquisition
-	// served a batch entry point (one lease per burst), else 0.
+	// served a Domain.Batch lease (one lease per batch), else 0.
 	KindGuardAcquire
 	// KindGuardPark: an Acquire exhausted the freelist and parked on the
 	// handoff channel. Emitted on the shared ring (no tid held yet).
@@ -61,12 +61,12 @@ const (
 	// the Domain's emergency-reclamation pipeline. A is the arena's
 	// allocated-block count at the stall, B its capacity.
 	KindAllocStall
-	// KindBatchBegin: a batched operation (MultiGet, PushAll, ...) opened
-	// its batch context. A is the number of items the batch intends to
-	// run (0 when open-ended, e.g. PopN draining early).
+	// KindBatchBegin: a batch (Guard.Batch, Domain.Batch) opened its
+	// span. It carries no payload: a batch's size is known only at its
+	// end.
 	KindBatchBegin
-	// KindBatchEnd: the batch context closed. A is the items the batch
-	// actually ran, B the retires it submitted as one burst.
+	// KindBatchEnd: the batch closed. A is the items it ran (operation
+	// spans it absorbed), B the retires it submitted.
 	KindBatchEnd
 
 	kindCount

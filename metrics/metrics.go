@@ -195,13 +195,13 @@ var families = []metric{
 		func(t wfe.Telemetry) uint64 { return t.GuardCacheMisses }),
 	counter("wfe_scheme_switches", "Live scheme swaps completed by Domain.Switch.",
 		func(t wfe.Telemetry) uint64 { return t.SchemeSwitches }),
-	counter("wfe_batch_ops", "Batched operations (MultiGet, PushAll, ...) completed.",
+	counter("wfe_batch_ops", "Batches run (Guard.Batch, Domain.Batch).",
 		func(t wfe.Telemetry) uint64 { return t.BatchOps }),
-	counter("wfe_batch_items", "Items run inside batched operations.",
+	counter("wfe_batch_items", "Operation spans run inside batches.",
 		func(t wfe.Telemetry) uint64 { return t.BatchedItems }),
-	counter("wfe_batch_guard_cache_hits", "Batch entry points that claimed a guard from the lease cache.",
+	counter("wfe_batch_guard_cache_hits", "Domain.Batch leases that claimed a guard from the lease cache.",
 		func(t wfe.Telemetry) uint64 { return t.BatchGuardCacheHits }),
-	counter("wfe_batch_guard_cache_misses", "Batch entry points that missed the lease cache.",
+	counter("wfe_batch_guard_cache_misses", "Domain.Batch leases that missed the lease cache.",
 		func(t wfe.Telemetry) uint64 { return t.BatchGuardCacheMisses }),
 	telGauge("wfe_arena_pressure", "Arena occupancy fraction (in-use blocks over capacity).",
 		func(t wfe.Telemetry) float64 { return t.AdvisorSample(0).Pressure }),

@@ -84,13 +84,6 @@ func (q *Queue[T]) TryEnqueueGuarded(g *Guard[T], v T) error {
 	}
 	g.Begin()
 	defer g.End()
-	q.enqueueNode(g, node)
-	return nil
-}
-
-// enqueueNode links the pre-allocated node after the current tail,
-// helping a lagging tail along. The caller owns the protected section.
-func (q *Queue[T]) enqueueNode(g *Guard[T], node Ref[T]) {
 	for {
 		last := g.Protect(&q.tail, queueSlotLast)
 		next := g.Load(last, queueNext)
@@ -103,7 +96,7 @@ func (q *Queue[T]) enqueueNode(g *Guard[T], node Ref[T]) {
 		}
 		if g.CompareAndSwap(last, queueNext, Ref[T]{}, node) {
 			q.tail.CompareAndSwap(last, node)
-			return
+			return nil
 		}
 	}
 }
@@ -137,77 +130,6 @@ func (q *Queue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 			return v, true
 		}
 	}
-}
-
-// EnqueueAll appends every value in slice order in one batch: one guard
-// lease, one protection span where the scheme allows it, nodes allocated
-// up front (see batch.go). Like Enqueue it panics when the arena stays
-// exhausted after the emergency-reclamation pipeline; values already
-// enqueued stay enqueued (use TryEnqueueAll to observe partial
-// progress).
-func (q *Queue[T]) EnqueueAll(vs []T) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	q.EnqueueAllGuarded(g, vs)
-}
-
-// EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *Queue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
-	if _, err := q.TryEnqueueAllGuarded(g, vs); err != nil {
-		panic(exhaustedPanic(q.d.arena.Capacity()))
-	}
-}
-
-// TryEnqueueAll is EnqueueAll with backpressure: the whole run is
-// allocated before any protection is announced; on exhaustion mid-run
-// the values whose nodes were obtained are still enqueued and
-// TryEnqueueAll reports that prefix length alongside ErrArenaExhausted —
-// callers resume from vs[enqueued:].
-func (q *Queue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	return q.TryEnqueueAllGuarded(g, vs)
-}
-
-// TryEnqueueAllGuarded is TryEnqueueAll on a caller-held guard.
-func (q *Queue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
-	nodes := g.scratchNodes(0, len(vs))
-	for i := range vs {
-		n, aerr := g.TryAlloc(vs[i])
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		nodes = append(nodes, n)
-	}
-	enqueued = g.runBatch(len(nodes), func(i int) bool {
-		q.enqueueNode(g, nodes[i])
-		return true
-	})
-	return enqueued, err
-}
-
-// DequeueN removes up to n values in one batch, stopping early when the
-// queue empties. The unlinked nodes are retired as one burst at the end
-// of the batch, so the cleanup cadence ticks once instead of once per
-// dequeue. Values come back in FIFO order.
-func (q *Queue[T]) DequeueN(n int) []T {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	return q.DequeueNGuarded(g, n)
-}
-
-// DequeueNGuarded is DequeueN on a caller-held guard.
-func (q *Queue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
-	out := make([]T, 0, n)
-	g.runBatch(n, func(int) bool {
-		v, ok := q.DequeueGuarded(g)
-		if ok {
-			out = append(out, v)
-		}
-		return ok
-	})
-	return out
 }
 
 // LenGuarded is Len on a caller-held guard.

@@ -70,18 +70,11 @@ func (s *Stack[T]) TryPushGuarded(g *Guard[T], v T) error {
 	}
 	g.Begin()
 	defer g.End()
-	s.pushNode(g, n)
-	return nil
-}
-
-// pushNode links the pre-allocated node n as the new top. The caller
-// owns the protected section.
-func (s *Stack[T]) pushNode(g *Guard[T], n Ref[T]) {
 	for {
 		old := s.top.Load()
 		g.Store(n, stackNext, old)
 		if s.top.CompareAndSwap(old, n) {
-			return
+			return nil
 		}
 	}
 }
@@ -102,77 +95,6 @@ func (s *Stack[T]) PopGuarded(g *Guard[T]) (v T, ok bool) {
 			return v, true
 		}
 	}
-}
-
-// PushAll pushes every value in one batch: one guard lease, one
-// protection span where the scheme allows it, nodes allocated up front
-// (see batch.go). Values land on the stack in slice order, so vs[len-1]
-// ends up on top. Like Push it panics when the arena stays exhausted
-// after the emergency-reclamation pipeline; values already pushed stay
-// pushed (use TryPushAll to observe partial progress).
-func (s *Stack[T]) PushAll(vs []T) {
-	g := s.d.pinBatch()
-	defer s.d.unpin(g)
-	s.PushAllGuarded(g, vs)
-}
-
-// PushAllGuarded is PushAll on a caller-held guard.
-func (s *Stack[T]) PushAllGuarded(g *Guard[T], vs []T) {
-	if _, err := s.TryPushAllGuarded(g, vs); err != nil {
-		panic(exhaustedPanic(s.d.arena.Capacity()))
-	}
-}
-
-// TryPushAll is PushAll with backpressure: the whole run is allocated
-// before any protection is announced; on exhaustion mid-run the values
-// whose nodes were obtained are still pushed and TryPushAll reports that
-// prefix length alongside ErrArenaExhausted — callers resume from
-// vs[pushed:].
-func (s *Stack[T]) TryPushAll(vs []T) (pushed int, err error) {
-	g := s.d.pinBatch()
-	defer s.d.unpin(g)
-	return s.TryPushAllGuarded(g, vs)
-}
-
-// TryPushAllGuarded is TryPushAll on a caller-held guard.
-func (s *Stack[T]) TryPushAllGuarded(g *Guard[T], vs []T) (pushed int, err error) {
-	nodes := g.scratchNodes(0, len(vs))
-	for i := range vs {
-		n, aerr := g.TryAlloc(vs[i])
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		nodes = append(nodes, n)
-	}
-	pushed = g.runBatch(len(nodes), func(i int) bool {
-		s.pushNode(g, nodes[i])
-		return true
-	})
-	return pushed, err
-}
-
-// PopN pops up to n values in one batch, stopping early when the stack
-// empties. The popped nodes are retired as one burst at the end of the
-// batch, so the cleanup cadence ticks once instead of once per pop.
-// Values come back in pop order (top first).
-func (s *Stack[T]) PopN(n int) []T {
-	g := s.d.pinBatch()
-	defer s.d.unpin(g)
-	return s.PopNGuarded(g, n)
-}
-
-// PopNGuarded is PopN on a caller-held guard.
-func (s *Stack[T]) PopNGuarded(g *Guard[T], n int) []T {
-	out := make([]T, 0, n)
-	g.runBatch(n, func(int) bool {
-		v, ok := s.PopGuarded(g)
-		if ok {
-			out = append(out, v)
-		}
-		return ok
-	})
-	return out
 }
 
 // LenGuarded is Len on a caller-held guard.

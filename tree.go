@@ -344,25 +344,6 @@ func (t *Tree[T]) linkLeaf(g *Guard[T], key, leafKey uint64, sr *treeSeek[T], ne
 	return false
 }
 
-// insertNodes is the insert loop over pre-allocated blocks (newLeaf with
-// its key and leaf marker already stamped, newInt zeroed): no allocation
-// can happen inside it, which is what lets the batch entry points run it
-// under an open protection span. On a duplicate key it reports false
-// with both blocks unconsumed; the caller deallocates them.
-func (t *Tree[T]) insertNodes(g *Guard[T], key uint64, newLeaf, newInt Ref[T]) bool {
-	var sr treeSeek[T]
-	for {
-		t.seek(g, key, &sr)
-		leafKey := g.LoadMeta(sr.leaf, treeKey)
-		if leafKey == key {
-			return false
-		}
-		if t.linkLeaf(g, key, leafKey, &sr, newLeaf, newInt) {
-			return true
-		}
-	}
-}
-
 // DeleteGuarded is Delete on a caller-held guard.
 func (t *Tree[T]) DeleteGuarded(g *Guard[T], key uint64) bool {
 	t.checkKey(key)
@@ -495,110 +476,6 @@ func (t *Tree[T]) tryReplace(g *Guard[T], key uint64, val T) (done, found bool, 
 			t.cleanup(g, sr.anc, sr.par)
 		}
 	}
-}
-
-// MultiInsert inserts every key→val pair in one batch: one guard lease,
-// one protection span where the scheme allows it, and both blocks of
-// every insert allocated up front (see batch.go). inserted[i] reports
-// whether keys[i] was absent and went in. Like Insert it panics when the
-// arena stays exhausted after the emergency-reclamation pipeline; pairs
-// already inserted stay inserted (use TryMultiInsert to observe partial
-// progress).
-func (t *Tree[T]) MultiInsert(keys []uint64, vals []T) (inserted []bool) {
-	g := t.d.pinBatch()
-	defer t.d.unpin(g)
-	return t.MultiInsertGuarded(g, keys, vals)
-}
-
-// MultiInsertGuarded is MultiInsert on a caller-held guard.
-func (t *Tree[T]) MultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (inserted []bool) {
-	inserted, _, err := t.TryMultiInsertGuarded(g, keys, vals)
-	if err != nil {
-		panic(exhaustedPanic(t.d.arena.Capacity()))
-	}
-	return inserted
-}
-
-// TryMultiInsert is MultiInsert with backpressure: the whole run — a
-// leaf and a routing node per key — is allocated before any protection
-// is announced (the per-op lazy-allocation optimization cannot be used
-// under an open batch span, since an exhaustion stall must never run
-// with reservations held). When the arena runs out mid-run the pairs
-// whose blocks were obtained are still attempted; attempted reports that
-// prefix length alongside ErrArenaExhausted, and inserted[i] is false
-// for every unattempted i — callers resume from keys[attempted:].
-func (t *Tree[T]) TryMultiInsert(keys []uint64, vals []T) (inserted []bool, attempted int, err error) {
-	g := t.d.pinBatch()
-	defer t.d.unpin(g)
-	return t.TryMultiInsertGuarded(g, keys, vals)
-}
-
-// TryMultiInsertGuarded is TryMultiInsert on a caller-held guard.
-func (t *Tree[T]) TryMultiInsertGuarded(g *Guard[T], keys []uint64, vals []T) (inserted []bool, attempted int, err error) {
-	if len(keys) != len(vals) {
-		panic("wfe: MultiInsert keys/vals length mismatch")
-	}
-	// Validate every key before allocating: a sentinel-range key must
-	// panic with no blocks in flight.
-	for _, key := range keys {
-		t.checkKey(key)
-	}
-	var zero T
-	leaves := g.scratchNodes(0, len(keys))
-	ints := g.scratchNodes(1, len(keys))
-	for i := range keys {
-		leaf, aerr := g.TryAlloc(vals[i])
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		g.StoreMeta(leaf, treeKey, keys[i])
-		g.StoreMeta(leaf, treeIsLeaf, 1)
-		ri, aerr := g.TryAlloc(zero)
-		if aerr != nil {
-			g.Dealloc(leaf)
-			err = aerr
-			break
-		}
-		leaves = append(leaves, leaf)
-		ints = append(ints, ri)
-	}
-	inserted = make([]bool, len(keys))
-	attempted = g.runBatch(len(leaves), func(i int) bool {
-		if t.insertNodes(g, keys[i], leaves[i], ints[i]) {
-			inserted[i] = true
-		} else {
-			// Duplicate key: the pre-allocated pair was never published, so
-			// no reader can hold it — return it to the arena directly.
-			g.Dealloc(leaves[i])
-			g.Dealloc(ints[i])
-		}
-		return true
-	})
-	return inserted, attempted, err
-}
-
-// MultiDelete removes every key in one batch; oks[i] reports whether
-// keys[i] was present. Each unlink's internal-node/leaf pair is retired
-// as one burst at the end of the batch, so the cleanup cadence ticks
-// once instead of once per key.
-func (t *Tree[T]) MultiDelete(keys []uint64) (oks []bool) {
-	g := t.d.pinBatch()
-	defer t.d.unpin(g)
-	return t.MultiDeleteGuarded(g, keys)
-}
-
-// MultiDeleteGuarded is MultiDelete on a caller-held guard.
-func (t *Tree[T]) MultiDeleteGuarded(g *Guard[T], keys []uint64) (oks []bool) {
-	for _, key := range keys {
-		t.checkKey(key)
-	}
-	oks = make([]bool, len(keys))
-	g.runBatch(len(keys), func(i int) bool {
-		oks[i] = t.DeleteGuarded(g, keys[i])
-		return true
-	})
-	return oks
 }
 
 // LenGuarded is Len on a caller-held guard.

@@ -155,63 +155,5 @@ func (q *boxedQueue[T]) DequeueGuarded(g *Guard[T]) (v T, ok bool) {
 	return v, true
 }
 
-// EnqueueAll appends every value in slice order under one guard lease.
-// The queue protocol manages protection per operation internally, so
-// this batch amortizes the lease (and the per-op value-box allocation
-// stays as is); it panics when the arena stays exhausted after the
-// emergency-reclamation pipeline, with values already enqueued staying
-// enqueued (use TryEnqueueAll to observe partial progress).
-func (q *boxedQueue[T]) EnqueueAll(vs []T) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	q.EnqueueAllGuarded(g, vs)
-}
-
-// EnqueueAllGuarded is EnqueueAll on a caller-held guard.
-func (q *boxedQueue[T]) EnqueueAllGuarded(g *Guard[T], vs []T) {
-	if _, err := q.TryEnqueueAllGuarded(g, vs); err != nil {
-		panic(exhaustedPanic(q.d.arena.Capacity()))
-	}
-}
-
-// TryEnqueueAll is EnqueueAll with backpressure: on exhaustion mid-run
-// it stops, reporting the enqueued prefix length alongside
-// ErrArenaExhausted — callers resume from vs[enqueued:].
-func (q *boxedQueue[T]) TryEnqueueAll(vs []T) (enqueued int, err error) {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	return q.TryEnqueueAllGuarded(g, vs)
-}
-
-// TryEnqueueAllGuarded is TryEnqueueAll on a caller-held guard.
-func (q *boxedQueue[T]) TryEnqueueAllGuarded(g *Guard[T], vs []T) (enqueued int, err error) {
-	enqueued = g.runLeaseBatch(len(vs), func(i int) bool {
-		err = q.TryEnqueueGuarded(g, vs[i])
-		return err == nil
-	})
-	return enqueued, err
-}
-
-// DequeueN removes up to n values under one guard lease, stopping early
-// when the queue empties. Values come back in FIFO order.
-func (q *boxedQueue[T]) DequeueN(n int) []T {
-	g := q.d.pinBatch()
-	defer q.d.unpin(g)
-	return q.DequeueNGuarded(g, n)
-}
-
-// DequeueNGuarded is DequeueN on a caller-held guard.
-func (q *boxedQueue[T]) DequeueNGuarded(g *Guard[T], n int) []T {
-	out := make([]T, 0, n)
-	g.runLeaseBatch(n, func(int) bool {
-		v, ok := q.DequeueGuarded(g)
-		if ok {
-			out = append(out, v)
-		}
-		return ok
-	})
-	return out
-}
-
 // LenGuarded is Len on a caller-held guard.
 func (q *boxedQueue[T]) LenGuarded(g *Guard[T]) int { return q.q.Len() }
